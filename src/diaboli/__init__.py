@@ -19,7 +19,14 @@ from .adiabatic import (
     evolve,
     fidelity_vs_time,
 )
-from .eigensolver import Spectrum, eigen_arrowhead, eigen_dense, min_gap_on_segment
+from .eigensolver import (
+    LowestLevels,
+    Spectrum,
+    eigen_arrowhead,
+    eigen_dense,
+    lowest_levels,
+    min_gap_on_segment,
+)
 from .errors import (
     ClauseArityError,
     ClauseCountMismatch,
@@ -101,6 +108,7 @@ __all__ = [
     "IndexOutOfRange",
     "InternalContradiction",
     "LoopPath",
+    "LowestLevels",
     "MalformedHeader",
     "NormDrift",
     "OpenLoop",
@@ -130,6 +138,7 @@ __all__ = [
     "evolve",
     "fidelity_vs_time",
     "fitted_level_coefficient",
+    "lowest_levels",
     "min_gap_on_segment",
     "parse_dimacs",
     "prediction_error",

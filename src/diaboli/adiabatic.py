@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormDrift, ScheduleInvalid
-from .eigensolver import eigen_arrowhead
+from .eigensolver import LowestLevels, lowest_levels
+from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .hamiltonian import ParameterPoint, build
 from .holonomy import LoopPath
 from .instance import ViolationDiagonal
@@ -96,34 +97,40 @@ class _ArcLengthLoop:
         self._zs = zs
         self._cum = np.concatenate(([0.0], np.cumsum(seg))) / total
 
-    def point_at(self, s: float) -> ParameterPoint:
-        s = min(max(s, 0.0), 1.0)
-        i = int(np.searchsorted(self._cum, s, side="right")) - 1
-        i = min(max(i, 0), self._cum.size - 2)
+    def points_at(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates (x, z) of the loop at each arc-length fraction in ``s``."""
+
+        s = np.clip(s, 0.0, 1.0)
+        i = np.clip(np.searchsorted(self._cum, s, side="right") - 1, 0, self._cum.size - 2)
         span = self._cum[i + 1] - self._cum[i]
-        t = 0.0 if span == 0.0 else (s - self._cum[i]) / span
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(span == 0.0, 0.0, (s - self._cum[i]) / span)
         x = self._xs[i] + (self._xs[i + 1] - self._xs[i]) * t
         z = self._zs[i] + (self._zs[i + 1] - self._zs[i]) * t
-        return ParameterPoint(float(x), float(z))
+        return x, z
 
 
 def _step_durations(
     diag: ViolationDiagonal,
     variant: str,
-    loop: _ArcLengthLoop,
+    mid_points: tuple[np.ndarray, np.ndarray],
     schedule: Schedule,
-    s_mid: np.ndarray,
 ) -> np.ndarray:
     steps = schedule.steps
     if schedule.speed_profile == "uniform":
         return np.full(steps, schedule.total_time / steps)
-    gaps = np.array(
-        [eigen_arrowhead(build(diag, loop.point_at(float(s)), variant)).gap01 for s in s_mid]
-    )
+    gaps = lowest_levels(diag, variant, *mid_points).gap
     speed = gaps * gaps
     speed = np.maximum(speed, schedule.min_speed_fraction * float(speed.mean()))
     durations = (1.0 / steps) / speed
     return durations * (schedule.total_time / float(durations.sum()))
+
+
+def _ground_vector(diag: ViolationDiagonal, levels: LowestLevels, index: int) -> np.ndarray:
+    """Full ground vector at one point of a batch, spread from its group amplitudes."""
+
+    body = levels.amplitudes[index, diag.histogram.inverse]
+    return np.append(body, levels.head[index]).astype(np.complex128)
 
 
 def evolve(
@@ -140,17 +147,16 @@ def evolve(
     steps = schedule.steps
     s_edges = np.linspace(0.0, 1.0, steps + 1)
     s_mid = 0.5 * (s_edges[:-1] + s_edges[1:])
-    durations = _step_durations(diag, variant, loop, schedule, s_mid)
+    x_mid, z_mid = loop.points_at(s_mid)
+    durations = _step_durations(diag, variant, (x_mid, z_mid), schedule)
 
     # Instantaneous levels and ground vectors at the step edges, for the
     # dynamical-phase quadrature and the fidelity log.
-    edge_points = [loop.point_at(float(s)) for s in s_edges]
-    edge_spectra = [
-        eigen_arrowhead(build(diag, p, variant), want_ground_vector=True) for p in edge_points
-    ]
-    e0 = np.array([spec.eigenvalues[0] for spec in edge_spectra])
+    x_edge, z_edge = loop.points_at(s_edges)
+    edges = lowest_levels(diag, variant, x_edge, z_edge)
+    e0 = edges.e0
 
-    psi = edge_spectra[0].ground_vector.astype(np.complex128)
+    psi = _ground_vector(diag, edges, 0)
     psi0 = psi.copy()
     max_drift = 0.0
     log: list[EvolutionStep] | None = [] if collect_log else None
@@ -158,16 +164,14 @@ def evolve(
     def log_state(index: int, t: float, norm: float) -> None:
         if log is None:
             return
-        spec = edge_spectra[index]
-        point = edge_points[index]
-        fid = abs(np.vdot(spec.ground_vector.astype(np.complex128), psi)) ** 2
+        fid = abs(np.vdot(_ground_vector(diag, edges, index), psi)) ** 2
         log.append(
             EvolutionStep(
                 t=t,
-                x=point.x,
-                z=point.z,
-                e0=float(spec.eigenvalues[0]),
-                e1=float(spec.eigenvalues[1]),
+                x=float(x_edge[index]),
+                z=float(z_edge[index]),
+                e0=float(edges.e0[index]),
+                e1=float(edges.e1[index]),
                 fidelity=float(fid),
                 norm=norm,
             )
@@ -177,7 +181,7 @@ def evolve(
     elapsed = 0.0
     for j in range(steps):
         dt = float(durations[j])
-        ham = build(diag, loop.point_at(float(s_mid[j])), variant)
+        ham = build(diag, ParameterPoint(float(x_mid[j]), float(z_mid[j])), variant)
         w, v = np.linalg.eigh(ham.to_dense())
         psi = v @ (np.exp(-1j * w * dt) * (v.T @ psi))
         elapsed += dt
@@ -194,7 +198,7 @@ def evolve(
     geometric = math.remainder(total - dynamical, 2.0 * math.pi)
     if geometric <= -math.pi:
         geometric += 2.0 * math.pi
-    fidelity = float(abs(np.vdot(edge_spectra[-1].ground_vector.astype(np.complex128), psi)) ** 2)
+    fidelity = float(abs(np.vdot(_ground_vector(diag, edges, steps), psi)) ** 2)
     return EvolutionResult(
         total_time=schedule.total_time,
         speed_profile=schedule.speed_profile,

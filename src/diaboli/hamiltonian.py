@@ -128,31 +128,42 @@ class ArrowheadHamiltonian:
         return "\n".join(lines) + "\n"
 
 
-def build(diag: ViolationDiagonal, point: ParameterPoint, variant: str = "unscaled") -> ArrowheadHamiltonian:
-    """Assemble the arrowhead operator for a diagonal at a parameter point."""
+def variant_scales(variant: str, size: int) -> tuple[float, float]:
+    """Body factor on the violation counts and divisor of ``x`` for a body of ``size`` states."""
 
     if variant not in VARIANTS:
         raise UnknownVariant(f"variant {variant!r} not in {VARIANTS}")
-    entries = diag.entries.astype(np.float64)
-    size = entries.size
+    factor = float(size) if variant == "z_scaled" else 1.0
+    divisor = math.sqrt(size) if variant == "x_scaled" else 1.0
+    return factor, divisor
+
+
+def build(diag: ViolationDiagonal, point: ParameterPoint, variant: str = "unscaled") -> ArrowheadHamiltonian:
+    """Assemble the arrowhead operator for a diagonal at a parameter point."""
+
+    factor, divisor = variant_scales(variant, diag.dimension)
     quarter = point.z / 4.0
-    if variant == "z_scaled":
-        body = quarter + size * entries
-    else:
-        body = quarter + entries
-    border = point.x / math.sqrt(size) if variant == "x_scaled" else point.x
     return ArrowheadHamiltonian(
-        body_diag=body,
-        border=border,
+        body_diag=quarter + factor * diag.entries.astype(np.float64),
+        border=point.x / divisor,
         head_diag=-quarter,
         params=point,
         variant=variant,
     )
 
 
-def restrict(diag: ViolationDiagonal, mask: SubspaceMask) -> ViolationDiagonal:
-    """Select a subspace of the diagonal, preserving index order."""
+def restrict(diag: ViolationDiagonal, mask: SubspaceMask | slice) -> ViolationDiagonal:
+    """Select a subspace of the diagonal, preserving index order.
 
+    ``slice(lo, hi)`` selects the contiguous range ``lo <= i < hi``
+    without listing its indices.
+    """
+
+    if isinstance(mask, slice):
+        lo, hi = mask.start, mask.stop
+        if mask.step not in (None, 1) or lo is None or hi is None or not 0 <= lo < hi <= diag.dimension:
+            raise IndexOutOfRange(f"want slice(lo, hi) with 0 <= lo < hi <= {diag.dimension}, got {mask}")
+        return ViolationDiagonal(entries=diag.entries[lo:hi])
     idx = np.asarray(mask.selected, dtype=np.int64)
     if idx[-1] >= diag.dimension:
         raise IndexOutOfRange(f"mask index {int(idx[-1])} outside diagonal of size {diag.dimension}")

@@ -10,8 +10,12 @@ two lowest levels touch, which for these operators happens at the origin
 exactly when the instance is soluble, so phase pi doubles as a solubility
 oracle.
 
-Segments whose endpoint vectors overlap weakly are bisected recursively
-so the transport never jumps across an avoided crossing.
+Ground vectors are kept as one amplitude per violation-count group plus
+the head amplitude (see ``lowest_levels``), so an overlap is the short sum
+``sum_g k_g a_g a'_g + h h'`` whatever the size of the diagonal.  All loop
+samples are solved in one batch; segments whose endpoint vectors overlap
+weakly are then bisected level by level, each level's midpoints again in
+one batch, so the transport never jumps across an avoided crossing.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOnLoop, OpenLoop, RefinementExhausted
-from .eigensolver import Spectrum, eigen_arrowhead
-from .hamiltonian import ParameterPoint, build
+from .eigensolver import lowest_levels
+from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
+from .hamiltonian import ParameterPoint
+from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .instance import ViolationDiagonal
 
 GAP_FLOOR = 1e-9
@@ -78,8 +84,8 @@ class LoopPath:
     def default_rectangle(cls, samples_per_edge: int = DEFAULT_SAMPLES_PER_EDGE) -> "LoopPath":
         return cls(waypoints=_DEFAULT_WAYPOINTS, samples_per_edge=samples_per_edge)
 
-    def sample_points(self) -> list[ParameterPoint]:
-        """Uniform samples along each edge, waypoints included.
+    def sample_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform samples along each edge, waypoints included, as x and z arrays.
 
         An interior sample landing exactly on x = 0 is displaced half a
         grid step along its edge: the border coupling vanishes on that
@@ -89,16 +95,21 @@ class LoopPath:
         """
 
         s = self.samples_per_edge
-        points = [self.waypoints[0]]
+        j = np.arange(1, s + 1)
+        xs = [np.array([self.waypoints[0].x])]
+        zs = [np.array([self.waypoints[0].z])]
         for a, b in zip(self.waypoints, self.waypoints[1:]):
-            for j in range(1, s + 1):
-                t = j / s
-                if j < s and a.x != b.x:
-                    xj = a.x + (b.x - a.x) * t
-                    if xj == 0.0:
-                        t = (j + 0.5) / s
-                points.append(ParameterPoint(a.x + (b.x - a.x) * t, a.z + (b.z - a.z) * t))
-        return points
+            t = j / s
+            if a.x != b.x:
+                t = np.where((j < s) & (a.x + (b.x - a.x) * t == 0.0), (j + 0.5) / s, t)
+            xs.append(a.x + (b.x - a.x) * t)
+            zs.append(a.z + (b.z - a.z) * t)
+        return np.concatenate(xs), np.concatenate(zs)
+
+    def sample_points(self) -> list[ParameterPoint]:
+        """``sample_coordinates`` as a list of points."""
+
+        return [ParameterPoint(x, z) for x, z in zip(*self.sample_coordinates())]
 
 
 @dataclass(frozen=True)
@@ -121,6 +132,7 @@ class BerryResult:
     min_transport_overlap: float
     min_gap_on_loop: float
     refined_points: int
+    points_solved: int  # loop samples plus inserted midpoints; not serialized
     log: tuple[TransportStep, ...] | None = None
 
     @property
@@ -137,77 +149,52 @@ class BerryResult:
         }
 
 
-class _Transport:
-    """Sequential sign-aligned transport with recursive segment refinement."""
+class _Points:
+    """Every point solved on one loop, in order of solving.
 
-    def __init__(self, diag: ViolationDiagonal, variant: str, collect_log: bool) -> None:
+    ``place`` holds ``(edge, position, depth)`` per point, the place at
+    which a walk along the loop would solve it: loop sample ``j`` at
+    ``(j - 1, -1, 0)``, a midpoint at the place of the segment it splits
+    (see ``berry_phase``).  Sorting places gives walk order.
+    """
+
+    def __init__(self, diag: ViolationDiagonal, variant: str) -> None:
         self.diag = diag
         self.variant = variant
-        self.min_overlap = 1.0
-        self.min_gap = math.inf
-        self.refined = 0
-        self.cum_sign = 1
-        self.steps = 0
-        self.log: list[TransportStep] | None = [] if collect_log else None
-        self.point: ParameterPoint | None = None
-        self.vector: np.ndarray | None = None
+        self.weights = diag.histogram.counts.astype(np.float64)
+        self.x = self.z = self.e0 = self.e1 = self.gap = self.head = np.empty(0)
+        self.amplitudes = np.empty((0, self.weights.size))
+        self.place = np.empty((0, 3), dtype=np.int64)
 
-    def _solve(self, point: ParameterPoint) -> Spectrum:
-        spec = eigen_arrowhead(build(self.diag, point, self.variant), want_ground_vector=True)
-        if spec.gap01 <= GAP_FLOOR:
-            raise DegenerateOnLoop(
-                f"gap {spec.gap01:.3e} at (x={point.x:.6g}, z={point.z:.6g}) is below the floor"
-            )
-        if spec.gap01 < self.min_gap:
-            self.min_gap = spec.gap01
-        return spec
+    def add(self, x: np.ndarray, z: np.ndarray, place: np.ndarray) -> np.ndarray:
+        """Solve a batch of points and return their indices."""
 
-    def _record(self, point: ParameterPoint, spec: Spectrum, overlap: float) -> None:
-        if self.log is not None:
-            self.log.append(
-                TransportStep(
-                    step=self.steps,
-                    x=point.x,
-                    z=point.z,
-                    e0=float(spec.eigenvalues[0]),
-                    e1=float(spec.eigenvalues[1]),
-                    overlap=overlap,
-                    cumulative_sign=self.cum_sign,
-                )
-            )
-        self.steps += 1
+        levels = lowest_levels(self.diag, self.variant, x, z)
+        first = self.x.size
+        self.x = np.concatenate((self.x, x))
+        self.z = np.concatenate((self.z, z))
+        self.e0 = np.concatenate((self.e0, levels.e0))
+        self.e1 = np.concatenate((self.e1, levels.e1))
+        self.gap = np.concatenate((self.gap, levels.gap))
+        self.amplitudes = np.concatenate((self.amplitudes, levels.amplitudes))
+        self.head = np.concatenate((self.head, levels.head))
+        self.place = np.concatenate((self.place, place))
+        return np.arange(first, self.x.size)
 
-    def start(self, point: ParameterPoint) -> None:
-        spec = self._solve(point)
-        self.point = point
-        self.vector = spec.ground_vector
-        self._record(point, spec, 1.0)
+    def overlap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (self.amplitudes[a] * self.amplitudes[b]) @ self.weights + self.head[a] * self.head[b]
 
-    def advance(self, target: ParameterPoint, depth: int = 0) -> None:
-        spec = self._solve(target)
-        vector = spec.ground_vector
-        overlap = float(self.vector @ vector)
-        if abs(overlap) >= REFINE_TRIGGER or depth >= MAX_REFINE_DEPTH:
-            if abs(overlap) < OVERLAP_FLOOR:
-                raise RefinementExhausted(
-                    f"overlap {overlap:.3f} near (x={target.x:.6g}, z={target.z:.6g}) "
-                    f"still below {OVERLAP_FLOOR} at refinement depth {depth}"
-                )
-            if overlap < 0.0:
-                vector = -vector
-                self.cum_sign = -self.cum_sign
-            if abs(overlap) < self.min_overlap:
-                self.min_overlap = abs(overlap)
-            self.point = target
-            self.vector = vector
-            self._record(target, spec, overlap)
-            return
-        midpoint = ParameterPoint(
-            0.5 * (self.point.x + target.x), 0.5 * (self.point.z + target.z)
-        )
-        self.refined += 1
-        self.advance(midpoint, depth + 1)
-        self.advance(target, depth + 1)
+
+def _place(edge: np.ndarray, code: np.ndarray, depth: int, top: int) -> np.ndarray:
+    """Walk-order places of segments: in its edge's bisection tree, code
+    ``c`` at ``depth`` has children ``2c`` and ``2c + 1``, and its position
+    ``c << (top - depth)`` puts it after its parent and before its children."""
+
+    return np.stack((edge, code << (top - depth), np.full(edge.size, depth)), axis=1)
+
+
+def _walk_order(place: np.ndarray) -> np.ndarray:
+    return np.lexsort(place.T[::-1])
 
 
 def berry_phase(
@@ -217,25 +204,116 @@ def berry_phase(
     *,
     collect_log: bool = False,
 ) -> BerryResult:
-    """Transport the ground vector around a closed loop and read off the sign."""
+    """Transport the ground vector around a closed loop and read off the sign.
+
+    All loop samples are solved in one batch.  Then, level by level, every
+    segment whose endpoint vectors overlap by less than ``REFINE_TRIGGER``
+    in magnitude is split at its midpoint, below ``MAX_REFINE_DEPTH``, and
+    the midpoints of a level are solved in one batch.  Whether a segment
+    splits depends on ``|overlap|`` alone, not on the sign carried so far,
+    so this reaches exactly the segments of a walk along the loop that
+    bisects each weak step as it meets it.  Errors follow that walk too:
+    of all sub-floor gaps (``DegenerateOnLoop``) and segments still below
+    ``OVERLAP_FLOOR`` at the depth cap (``RefinementExhausted``), the one
+    the walk would meet first is raised, and segments touching a
+    degenerate point are not refined.
+    """
 
     if path is None:
         path = LoopPath.default_rectangle()
-    points = path.sample_points()
-    transport = _Transport(diag, variant, collect_log)
-    transport.start(points[0])
-    initial = transport.vector
-    for target in points[1:]:
-        transport.advance(target)
-    closing = float(transport.vector @ initial)
+    xs, zs = path.sample_coordinates()
+    n = xs.size
+    top = MAX_REFINE_DEPTH
+    pts = _Points(diag, variant)
+    pts.add(xs, zs, np.stack((np.arange(-1, n - 1), np.full(n, -1), np.zeros(n, dtype=np.int64)), axis=1))
+
+    # The segments of one level: endpoint indices, loop edge, tree code.
+    left = np.arange(n - 1)
+    right = left + 1
+    edge = left.copy()
+    code = np.zeros(n - 1, dtype=np.int64)
+    leaves: list[tuple[np.ndarray, ...]] = []
+    depth = 0
+    while True:
+        degenerate = pts.gap <= GAP_FLOOR
+        live = ~(degenerate[left] | degenerate[right])
+        left, right, edge, code = left[live], right[live], edge[live], code[live]
+        overlap = pts.overlap(left, right)
+        split = (np.abs(overlap) < REFINE_TRIGGER) & (depth < top)
+        keep = ~split
+        leaves.append((_place(edge[keep], code[keep], depth, top), right[keep], overlap[keep]))
+        left, right, edge, code = left[split], right[split], edge[split], code[split]
+        if not left.size:
+            break
+        mid_x = 0.5 * (pts.x[left] + pts.x[right])
+        mid_z = 0.5 * (pts.z[left] + pts.z[right])
+        mid = pts.add(mid_x, mid_z, _place(edge, code, depth, top))
+        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
+        edge = np.concatenate((edge, edge))
+        code = np.concatenate((2 * code, 2 * code + 1))
+        depth += 1
+
+    place, target, overlap = (np.concatenate(part) for part in zip(*leaves))
+    _raise_first_failure(pts, place, target, overlap)
+
+    order = _walk_order(place)
+    target, overlap = target[order], overlap[order]
+    # The transported vector at each step is gauge * (the solver's vector).
+    gauge = np.cumprod(np.where(overlap < 0.0, -1, 1))
+    closing = float(gauge[-1] * pts.overlap(np.array([n - 1]), np.array([0]))[0])
     sign = 1 if closing > 0.0 else -1
+    log = None
+    if collect_log:
+        # Logged overlaps are taken against the transported previous vector,
+        # and the sign column counts the flips that transport makes.
+        logged = np.concatenate(([1], gauge[:-1])) * overlap
+        flips = np.cumprod(np.where(logged < 0.0, -1, 1))
+        rows = [(0, 1.0, 1)] + list(zip(target.tolist(), logged.tolist(), flips.tolist()))
+        log = tuple(
+            TransportStep(
+                step=step,
+                x=float(pts.x[i]),
+                z=float(pts.z[i]),
+                e0=float(pts.e0[i]),
+                e1=float(pts.e1[i]),
+                overlap=float(ov),
+                cumulative_sign=int(cum),
+            )
+            for step, (i, ov, cum) in enumerate(rows)
+        )
     return BerryResult(
         phase=math.pi if sign < 0 else 0.0,
         holonomy_sign=sign,
-        min_transport_overlap=transport.min_overlap,
-        min_gap_on_loop=transport.min_gap,
-        refined_points=transport.refined,
-        log=tuple(transport.log) if transport.log is not None else None,
+        min_transport_overlap=min(1.0, float(np.min(np.abs(overlap)))),
+        min_gap_on_loop=float(np.min(pts.gap)),
+        refined_points=pts.x.size - n,
+        points_solved=pts.x.size,
+        log=log,
+    )
+
+
+def _raise_first_failure(pts: _Points, place: np.ndarray, target: np.ndarray, overlap: np.ndarray) -> None:
+    """Raise the failure a walk along the loop would meet first, if any.
+
+    ``place``, ``target`` and ``overlap`` describe the segments that were
+    not split: their walk-order place, end point and endpoint overlap.
+    """
+
+    bad_points = np.flatnonzero(pts.gap <= GAP_FLOOR)
+    bad_leaves = np.flatnonzero(np.abs(overlap) < OVERLAP_FLOOR)
+    if not (bad_points.size or bad_leaves.size):
+        return
+    first = int(_walk_order(np.concatenate((pts.place[bad_points], place[bad_leaves])))[0])
+    if first < bad_points.size:
+        i = bad_points[first]
+        raise DegenerateOnLoop(
+            f"gap {pts.gap[i]:.3e} at (x={pts.x[i]:.6g}, z={pts.z[i]:.6g}) is below the floor"
+        )
+    j = bad_leaves[first - bad_points.size]
+    i = target[j]
+    raise RefinementExhausted(
+        f"overlap {overlap[j]:.3f} near (x={pts.x[i]:.6g}, z={pts.z[i]:.6g}) "
+        f"still below {OVERLAP_FLOOR} at refinement depth {place[j, 2]}"
     )
 
 

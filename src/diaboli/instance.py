@@ -10,6 +10,8 @@ soluble exactly when some entry is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +72,14 @@ def _check_clause(clause: tuple[int, ...], n_vars: int) -> None:
         seen.add(var)
 
 
+class Histogram(NamedTuple):
+    """Exact grouping of a diagonal by violation count."""
+
+    values: np.ndarray  # distinct counts u_g, ascending
+    counts: np.ndarray  # multiplicities k_g
+    inverse: np.ndarray  # group index of every entry, so values[inverse] == entries
+
+
 @dataclass(frozen=True, eq=False)
 class ViolationDiagonal:
     """Per-assignment clause-violation counts.
@@ -110,6 +120,20 @@ class ViolationDiagonal:
     @property
     def solutions(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.entries == 0)]
+
+    @cached_property
+    def histogram(self) -> Histogram:
+        """Distinct counts, their multiplicities and the entry-to-group map.
+
+        Counts are integers, so grouping by equality is exact; computed
+        once per diagonal and shared read-only.
+        """
+
+        values, inverse, counts = np.unique(self.entries, return_inverse=True, return_counts=True)
+        hist = Histogram(values, counts, inverse.reshape(-1))
+        for arr in hist:
+            arr.setflags(write=False)
+        return hist
 
 
 def parse_dimacs(text: str) -> CnfInstance:

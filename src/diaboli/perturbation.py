@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateUnperturbed
-from .eigensolver import _group_body, eigen_arrowhead, min_gap_on_segment
-from .hamiltonian import ParameterPoint, build
+from .eigensolver import eigen_arrowhead, min_gap_on_segment
+from .hamiltonian import ParameterPoint, build, variant_scales
 from .instance import ViolationDiagonal
 
 _DEGENERACY_ATOL = 1e-12
@@ -54,12 +54,26 @@ class GapComparison:
     abs_error: float | None
 
 
+def _group_body(
+    diag: ViolationDiagonal, point: ParameterPoint, variant: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct body levels at ``x = 0``, ascending, with their multiplicities.
+
+    One level per distinct violation count, from the exact histogram; the
+    levels are the very floats ``build`` puts on the diagonal.
+    """
+
+    factor, _ = variant_scales(variant, diag.dimension)
+    values, counts, _ = diag.histogram
+    return point.z / 4.0 + factor * values.astype(np.float64), counts
+
+
 def second_order(diag: ViolationDiagonal, z: float, variant: str = "unscaled") -> GapPrediction:
     """Second-order shift coefficients for the two lowest unperturbed levels."""
 
-    probe = build(diag, ParameterPoint(x=0.0, z=z), variant)
-    values, counts = _group_body(probe.body_diag)
-    e_b0 = probe.head_diag
+    point = ParameterPoint(x=0.0, z=z)
+    values, counts = _group_body(diag, point, variant)
+    e_b0 = -(point.z / 4.0)
     e_a0 = float(values[0])
 
     beta2 = 1.0 / diag.dimension if variant == "x_scaled" else 1.0

@@ -2,11 +2,12 @@
 
 One full-space solubility test decides whether to search at all.  Each
 iteration then restricts the diagonal to the lower half of the surviving
-index mask and asks the oracle about that half alone: phase pi keeps the
-lower half, phase 0 sends the search to the upper half.  After n halvings
-of a 2**n space a single index remains, reached with exactly n half-space
-oracle calls.  Ties are broken toward the lower half, so with several
-satisfying assignments the smallest index wins.
+index range ``[lo, hi)``, a contiguous slice of the entries, and asks the
+oracle about that half alone: phase pi keeps the lower half, phase 0
+sends the search to the upper half.  After n halvings of a 2**n space a
+single index remains, reached with exactly n half-space oracle calls.
+Ties are broken toward the lower half, so with several satisfying
+assignments the smallest index wins.
 
 The oracle is injectable: the default transports the ground state around
 the standard loop (restricted subproblems reuse the caller's variant and
@@ -22,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DiaboliError, InternalContradiction, OracleFailure
-from .hamiltonian import SubspaceMask, restrict
+from .hamiltonian import SubspaceMask  # noqa: F401 - perfbench/tracer.py wraps this module-level name
+from .hamiltonian import restrict
 from .holonomy import solubility
 from .instance import ViolationDiagonal
 
@@ -88,25 +90,23 @@ def solve(diag: ViolationDiagonal, variant: str = "unscaled", oracle: Oracle | N
             soluble=False, result=None, iterations=(), oracle_calls=0, total_oracle_calls=1
         )
 
-    mask = np.arange(size, dtype=np.int64)
+    lo, hi = 0, size
     steps: list[SearchStep] = []
     half_space_calls = 0
-    while mask.size > 1:
-        half = mask.size // 2
-        lower = mask[:half]
-        lower_diag = restrict(diag, SubspaceMask(tuple(int(i) for i in lower)))
-        outcome = ask(lower_diag)
+    while hi - lo > 1:
+        mid = lo + (hi - lo) // 2
+        outcome = ask(restrict(diag, slice(lo, mid)))
         half_space_calls += 1
         steps.append(
             SearchStep(
-                mask_size=int(mask.size),
+                mask_size=hi - lo,
                 phase_outcome=outcome,
                 chosen_half="lower" if outcome else "upper",
             )
         )
-        mask = lower if outcome else mask[half:]
+        lo, hi = (lo, mid) if outcome else (mid, hi)
 
-    result = int(mask[0])
+    result = lo
     if int(diag.entries[result]) != 0:
         raise InternalContradiction(
             f"search landed on index {result} with {int(diag.entries[result])} violations"

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+import diaboli.eigensolver as eigensolver
 from diaboli import (
+    VARIANTS,
     ArrowheadHamiltonian,
+    ConvergenceFailure,
     ParameterPoint,
     ViolationDiagonal,
     build,
     eigen_arrowhead,
     eigen_dense,
+    lowest_levels,
     min_gap_on_segment,
     worst_case_diagonal,
 )
@@ -102,6 +106,42 @@ def test_ground_vector_residual_and_dense_agreement():
         assert np.linalg.norm(dense @ v - lam * v) <= 1e-10 * (1.0 + abs(lam))
         ref = eigen_dense(ham, want_ground_vector=True)
         assert abs(float(np.dot(v, ref.ground_vector))) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_exhausted_newton_budget_raises(monkeypatch):
+    ham = random_arrowhead(np.random.default_rng(5), 65)
+    diag = worst_case_diagonal(5, solution_index=3)
+    monkeypatch.setattr(eigensolver, "_NEWTON_ITER", 1)
+    with pytest.raises(ConvergenceFailure, match="missed tolerance"):
+        eigen_arrowhead(ham)
+    with pytest.raises(ConvergenceFailure, match="missed tolerance"):
+        lowest_levels(diag, "unscaled", np.array([0.3, -0.7]), np.array([-1.0, 0.5]))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_lowest_levels_match_dense_at_random_points(variant):
+    rng = np.random.default_rng(606)
+    for n in (1, 3, 6, 8):
+        entries = rng.integers(0, 4, size=2**n)
+        if n > 1:
+            entries[rng.integers(2**n)] = 0
+        diag = ViolationDiagonal(entries)
+        xs = rng.uniform(-1.5, 1.5, size=12)
+        zs = rng.uniform(-1.5, 1.5, size=12)
+        xs[:3] = 0.0  # the diagonal branch
+        levels = lowest_levels(diag, variant, xs, zs)
+        for p, (x, z) in enumerate(zip(xs, zs)):
+            ref = eigen_dense(build(diag, ParameterPoint(float(x), float(z)), variant))
+            scale = max(1.0, float(np.max(np.abs(ref.eigenvalues))))
+            assert levels.e0[p] == pytest.approx(ref.eigenvalues[0], abs=1e-13 * scale)
+            assert levels.e1[p] == pytest.approx(ref.eigenvalues[1], abs=1e-13 * scale)
+            assert levels.gap[p] == pytest.approx(ref.gap01, abs=1e-13 * scale)
+            if ref.gap01 < 1e-6:
+                continue  # the ground vector is not unique
+            vector = np.append(levels.amplitudes[p, diag.histogram.inverse], levels.head[p])
+            assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
+            sign = 1.0 if float(vector @ ref.ground_vector) > 0.0 else -1.0
+            np.testing.assert_allclose(vector, sign * ref.ground_vector, rtol=0, atol=1e-11)
 
 
 def test_eigen_dense_matches_arrowhead_solver():

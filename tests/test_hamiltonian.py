@@ -98,6 +98,7 @@ def test_restrict_picks_selected_entries():
     sub = restrict(diag, SubspaceMask((1, 3)))
     assert sub.entries.tolist() == [1, 3]
     assert sub.n_vars == 1  # size 2 is again a power of two
+    assert restrict(diag, slice(1, 3)).entries.tolist() == [1, 2]
 
 
 def test_restrict_commutes_with_build_for_unscaled_and_x_scaled():
@@ -123,6 +124,9 @@ def test_mask_validation():
     diag = ViolationDiagonal(np.array([0, 1]))
     with pytest.raises(IndexOutOfRange):
         restrict(diag, SubspaceMask((0, 5)))
+    for bad in (slice(1, 1), slice(0, 3), slice(-1, 2), slice(0, 2, 2), slice(None, 1)):
+        with pytest.raises(IndexOutOfRange):
+            restrict(diag, bad)
 
 
 def test_dense_csv_is_square():

@@ -155,6 +155,16 @@ def test_diagonal_entries_are_read_only():
         diag.entries[0] = 9
 
 
+def test_histogram_groups_counts_exactly():
+    diag = ViolationDiagonal(np.array([2, 0, 2, 5, 0, 2]))
+    values, counts, inverse = diag.histogram
+    assert values.tolist() == [0, 2, 5] and counts.tolist() == [2, 3, 1]
+    assert values[inverse].tolist() == diag.entries.tolist()
+    assert diag.histogram is diag.histogram
+    with pytest.raises(ValueError):
+        counts[0] = 7
+
+
 def test_diagonal_infers_n_vars_only_for_power_of_two():
     assert ViolationDiagonal(np.array([0, 1, 1, 1])).n_vars == 2
     assert ViolationDiagonal(np.array([0, 1, 1])).n_vars is None

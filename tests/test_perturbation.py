@@ -14,7 +14,9 @@ from diaboli import (
     fitted_level_coefficient,
     prediction_error,
     prediction_report,
+    random_instance,
     second_order,
+    violation_diagonal,
     worst_case_diagonal,
 )
 
@@ -92,6 +94,28 @@ def test_x_scaled_coefficient_is_nearly_size_free():
         assert pred.delta_b2_coeff == pytest.approx(-2.0 + 4.0 / big_n, rel=1e-12)
         coeffs.append(pred.delta_b2_coeff)
     assert max(coeffs) - min(coeffs) < 0.5
+
+
+# predict-gap's three coefficients, to the last bit, as the float-grouping
+# implementation printed them; grouping by exact histogram must not move them
+_PINNED = {
+    ("wc7", "unscaled"): (-2.0, -252.0, 0.044721359549995794),
+    ("wc7", "z_scaled"): (-2.0, 1.003921568627451, None),
+    ("wc7", "x_scaled"): (-0.015625, -1.96875, 0.5059644256269407),
+    ("random", "unscaled"): (-14.0, -45.40952380952382, 0.12616948374893353),
+    ("random", "z_scaled"): (-14.0, 13.4420560038689, None),
+    ("random", "x_scaled"): (-0.21875, -0.7095238095238097, 1.0093558699914682),
+}
+
+
+@pytest.mark.parametrize("source,variant", sorted(_PINNED))
+def test_coefficients_are_pinned_bit_for_bit(source, variant):
+    if source == "wc7":
+        diag = worst_case_diagonal(7, solution_index=0)
+    else:
+        diag = violation_diagonal(random_instance(6, 14, 2468))
+    pred = second_order(diag, z=-1.0, variant=variant)
+    assert (pred.delta_a2_coeff, pred.delta_b2_coeff, pred.x_gap_predicted) == _PINNED[source, variant]
 
 
 def test_degenerate_unperturbed_cases_raise():
