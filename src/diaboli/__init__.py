@@ -20,10 +20,12 @@ from .adiabatic import (
     fidelity_vs_time,
 )
 from .eigensolver import (
+    AllLevels,
     LowestLevels,
     Spectrum,
     eigen_arrowhead,
     eigen_dense,
+    all_levels,
     lowest_levels,
     min_gap_on_segment,
 )
@@ -89,6 +91,7 @@ from .search import SearchStep, SearchTrace, brute_force_oracle, solve
 __version__ = "0.1.0"
 
 __all__ = [
+    "AllLevels",
     "ArrowheadHamiltonian",
     "BerryResult",
     "ClauseArityError",
@@ -126,6 +129,7 @@ __all__ = [
     "VARIANTS",
     "VariableOutOfRange",
     "ViolationDiagonal",
+    "all_levels",
     "berry_phase",
     "brute_force_oracle",
     "brute_force_solubility",

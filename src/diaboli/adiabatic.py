@@ -2,10 +2,18 @@
 
 The loop is traversed once via an arc-length coordinate ``s`` in [0, 1].
 Each time step applies the exact unitary of the instantaneous operator at
-the step's midpoint, built from a dense eigendecomposition, so the only
-discretization error is the piecewise-constant treatment of H(t) (local
-error O(dt**3)).  Norm is therefore conserved structurally and only
-monitored, never restored.
+the step's midpoint, so the only discretization error is the
+piecewise-constant treatment of H(t) (local error O(dt**3)).  Norm is
+therefore conserved structurally and only monitored, never restored.
+
+The evolution runs in the symmetric sector: the start state is uniform on
+each violation-count group, and the operator maps such states to such
+states, so the state lives in the ``G + 1`` dimensions spanned by the
+group-uniform states and the head.  All midpoint operators of a traversal
+are diagonalized by one stacked ``numpy.linalg.eigh`` on these small
+matrices, which leaves one ``(G+1)``-dim product per step; the final
+state is spread back over the ``2**n`` entries at the end.  The cost is
+set by ``G``, not by ``2**n``.
 
 Two speed profiles are provided: ``uniform`` covers equal arc length per
 unit time, and ``gap_adaptive`` moves at a rate proportional to the
@@ -23,14 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormDrift, ScheduleInvalid
-from .eigensolver import LowestLevels, lowest_levels
+from .eigensolver import lowest_levels
 from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
-from .hamiltonian import ParameterPoint, build
+from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
+from .hamiltonian import variant_scales
 from .holonomy import LoopPath
 from .instance import ViolationDiagonal
 
 PROFILES = ("uniform", "gap_adaptive")
 NORM_TOLERANCE = 1e-6
+_BATCH_ENTRIES = 1 << 18  # matrix entries per stacked eigh batch
 
 
 @dataclass(frozen=True)
@@ -126,11 +136,26 @@ def _step_durations(
     return durations * (schedule.total_time / float(durations.sum()))
 
 
-def _ground_vector(diag: ViolationDiagonal, levels: LowestLevels, index: int) -> np.ndarray:
-    """Full ground vector at one point of a batch, spread from its group amplitudes."""
+def _sector_operators(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Stacked ``(G+1)``-dim matrices of the operator on the group-uniform states and the head.
 
-    body = levels.amplitudes[index, diag.histogram.inverse]
-    return np.append(body, levels.head[index]).astype(np.complex128)
+    Group ``g`` spans the ``k_g`` entries with violation count ``u_g``; its
+    uniform state has diagonal ``z/4 + s * u_g`` and couples to the head
+    through ``(x / divisor) * sqrt(k_g)``.
+    """
+
+    factor, divisor = variant_scales(variant, diag.dimension)
+    hist = diag.histogram
+    g = hist.values.size
+    quarter = z / 4.0
+    border = (x / divisor)[:, None] * np.sqrt(hist.counts.astype(np.float64))
+    mats = np.zeros((x.size, g + 1, g + 1))
+    idx = np.arange(g)
+    mats[:, idx, idx] = quarter[:, None] + factor * hist.values.astype(np.float64)
+    mats[:, g, g] = -quarter
+    mats[:, idx, g] = border
+    mats[:, g, idx] = border
+    return mats
 
 
 def evolve(
@@ -150,66 +175,64 @@ def evolve(
     x_mid, z_mid = loop.points_at(s_mid)
     durations = _step_durations(diag, variant, (x_mid, z_mid), schedule)
 
-    # Instantaneous levels and ground vectors at the step edges, for the
-    # dynamical-phase quadrature and the fidelity log.
+    # Instantaneous levels and ground states at the step edges, for the
+    # dynamical-phase quadrature and the fidelities, in sector coordinates.
     x_edge, z_edge = loop.points_at(s_edges)
     edges = lowest_levels(diag, variant, x_edge, z_edge)
     e0 = edges.e0
+    root_k = np.sqrt(diag.histogram.counts.astype(np.float64))
+    grounds = np.concatenate((edges.amplitudes * root_k, edges.head[:, None]), axis=1)
 
-    psi = _ground_vector(diag, edges, 0)
-    psi0 = psi.copy()
-    max_drift = 0.0
-    log: list[EvolutionStep] | None = [] if collect_log else None
+    # states[j] is the state after j steps.
+    states = np.empty((steps + 1, grounds.shape[1]), dtype=np.complex128)
+    psi = states[0] = grounds[0]
+    chunk = max(1, _BATCH_ENTRIES // grounds.shape[1] ** 2)
+    for start in range(0, steps, chunk):
+        stop = min(start + chunk, steps)
+        w, v = np.linalg.eigh(_sector_operators(diag, variant, x_mid[start:stop], z_mid[start:stop]))
+        phases = np.exp(-1j * w * durations[start:stop, None])
+        for j, u in enumerate((v * phases[:, None, :]) @ np.swapaxes(v, 1, 2), start + 1):
+            psi = states[j] = u @ psi
 
-    def log_state(index: int, t: float, norm: float) -> None:
-        if log is None:
-            return
-        fid = abs(np.vdot(_ground_vector(diag, edges, index), psi)) ** 2
-        log.append(
-            EvolutionStep(
-                t=t,
-                x=float(x_edge[index]),
-                z=float(z_edge[index]),
-                e0=float(edges.e0[index]),
-                e1=float(edges.e1[index]),
-                fidelity=float(fid),
-                norm=norm,
+    elapsed = np.cumsum(durations)
+    norms = np.linalg.norm(states[1:], axis=1)
+    drift = np.abs(norms - 1.0)
+    over = np.flatnonzero(drift > NORM_TOLERANCE)
+    if over.size:
+        j = int(over[0])
+        raise NormDrift(f"norm drifted to {float(norms[j])!r} at t={elapsed[j]:.6g}")
+    fidelities = np.abs(np.sum(grounds * states, axis=1)) ** 2
+
+    log = None
+    if collect_log:
+        times = np.concatenate(([0.0], elapsed)).tolist()
+        norm_column = [1.0] + norms.tolist()
+        log = tuple(
+            EvolutionStep(t=t, x=x, z=z, e0=a, e1=b, fidelity=f, norm=m)
+            for t, x, z, a, b, f, m in zip(
+                times, x_edge.tolist(), z_edge.tolist(), e0.tolist(), edges.e1.tolist(),
+                fidelities.tolist(), norm_column,
             )
         )
 
-    log_state(0, 0.0, 1.0)
-    elapsed = 0.0
-    for j in range(steps):
-        dt = float(durations[j])
-        ham = build(diag, ParameterPoint(float(x_mid[j]), float(z_mid[j])), variant)
-        w, v = np.linalg.eigh(ham.to_dense())
-        psi = v @ (np.exp(-1j * w * dt) * (v.T @ psi))
-        elapsed += dt
-        norm = float(np.linalg.norm(psi))
-        drift = abs(norm - 1.0)
-        if drift > max_drift:
-            max_drift = drift
-        if drift > NORM_TOLERANCE:
-            raise NormDrift(f"norm drifted to {norm!r} at t={elapsed:.6g}")
-        log_state(j + 1, elapsed, norm)
-
     dynamical = -float(np.sum(0.5 * (e0[:-1] + e0[1:]) * durations))
-    total = float(np.angle(np.vdot(psi0, psi)))
+    total = float(np.angle(np.vdot(states[0], psi)))
     geometric = math.remainder(total - dynamical, 2.0 * math.pi)
     if geometric <= -math.pi:
         geometric += 2.0 * math.pi
-    fidelity = float(abs(np.vdot(_ground_vector(diag, edges, steps), psi)) ** 2)
+    # Spread the sector amplitudes back over the k_g entries of each group.
+    body = (psi[:-1] / root_k)[diag.histogram.inverse]
     return EvolutionResult(
         total_time=schedule.total_time,
         speed_profile=schedule.speed_profile,
         steps=steps,
-        final_state=psi,
-        ground_fidelity=fidelity,
+        final_state=np.append(body, psi[-1]),
+        ground_fidelity=float(fidelities[-1]),
         dynamical_phase=dynamical,
         total_phase=total,
         geometric_phase_estimate=geometric,
-        max_norm_drift=max_drift,
-        log=tuple(log) if log is not None else None,
+        max_norm_drift=float(drift.max()),
+        log=log,
     )
 
 

@@ -18,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .adiabatic import Schedule, evolution_csv, evolve
-from .eigensolver import eigen_arrowhead
+from .eigensolver import all_levels
+from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .errors import DiaboliError
-from .hamiltonian import VARIANTS, ParameterPoint, build
+from .hamiltonian import VARIANTS
+from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .holonomy import DEFAULT_SAMPLES_PER_EDGE, LoopPath, berry_phase, transport_csv
 from .instance import ViolationDiagonal, parse_dimacs, violation_diagonal, worst_case_diagonal
 from .perturbation import prediction_report
@@ -99,17 +100,16 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     diag = _parse_source(args.source)
     lo, hi = _parse_range(args.range)
     values = np.linspace(lo, hi, args.samples)
-
-    def row_at(value: float) -> str:
-        if args.sweep == "x":
-            point = ParameterPoint(x=value, z=args.fixed)
-        else:
-            point = ParameterPoint(x=args.fixed, z=value)
-        spec = eigen_arrowhead(build(diag, point, args.variant))
-        eigs = ",".join(f"{e:.17g}" for e in spec.eigenvalues)
-        return f"{point.x:.17g},{point.z:.17g},{eigs},{spec.gap01:.17g}"
-
-    rows = parallel_map(row_at, [float(v) for v in values])
+    xs, zs = (values, args.fixed) if args.sweep == "x" else (args.fixed, values)
+    xs, zs = np.broadcast_arrays(xs, zs)
+    levels = all_levels(diag, args.variant, xs, zs)
+    runs, repeats = levels.runs()
+    gaps = levels.level(1) - levels.level(0)
+    rows = []
+    for x, z, row, gap in zip(xs.tolist(), zs.tolist(), runs.tolist(), gaps.tolist()):
+        # Each distinct value is formatted once; a deflated body level repeats its string.
+        eigs = ",".join(",".join([f"{e:.17g}"] * r) for e, r in zip(row, repeats.tolist()) if r)
+        rows.append(f"{x:.17g},{z:.17g},{eigs},{gap:.17g}")
     names = ",".join(f"e{i}" for i in range(diag.dimension + 1))
     _emit("x,z," + names + ",gap01\n" + "\n".join(rows) + "\n", args.out)
     return 0
@@ -184,7 +184,6 @@ def _build_parser() -> _Parser:
     def add_common(p: _Parser) -> None:
         p.add_argument("source", help="DIMACS CNF path or wc:n=<vars>,sol=<index|none>")
         p.add_argument("--variant", choices=VARIANTS, default="unscaled")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed; current subcommands are fully deterministic")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = sub.add_parser("spectrum", help="sweep one parameter and dump all eigenvalues as CSV")

@@ -25,9 +25,11 @@ from the root:
 schedules: it groups a violation diagonal once by its exact histogram
 (distinct count ``u_g``, multiplicity ``k_g``) and solves only the two
 lowest roots, for a whole batch of parameter points at once, returning
-the ground vector as one amplitude per group.  ``eigen_dense`` provides
-the independent cross-check through ``numpy.linalg.eigh`` on the
-materialized matrix.
+the ground vector as one amplitude per group.  ``all_levels`` runs the
+same batched solve for all ``G + 1`` roots and serves the spectrum sweeps;
+it keeps the spectrum run-length encoded, since each body level repeats
+``k_g - 1`` times.  ``eigen_dense`` provides the independent cross-check
+through ``numpy.linalg.eigh`` on the materialized matrix.
 """
 
 from __future__ import annotations
@@ -209,6 +211,49 @@ def eigen_dense(ham: ArrowheadHamiltonian, want_ground_vector: bool = True) -> S
     return Spectrum(eigenvalues=w, ground_vector=None)
 
 
+def _leftmost_roots(
+    poles: np.ndarray, k: np.ndarray, size: int, border: np.ndarray, head: np.ndarray, count: int
+) -> np.ndarray:
+    """The ``count`` leftmost secular roots at every point, shape ``(points, count)``.
+
+    Works in the frame ``mu = lam - z/4``: ``poles`` are the fixed body
+    levels ``s * u_g`` (ascending) of multiplicity ``k``, ``size`` is
+    ``sum(k)``, and each point has its own nonzero ``border`` and head
+    level ``head``.  Root ``j`` lies between poles ``j - 1`` and ``j``, so
+    ``count = G + 1`` gives all the non-deflated levels.
+    """
+
+    g = poles.size
+    w2 = (border * border)[:, None] * k[None, :]
+    total = math.sqrt(size) * np.abs(border) + 1.0
+    lo = np.empty((border.size, count))
+    hi = np.empty((border.size, count))
+    lo[:, 0] = np.minimum(poles[0], head) - total
+    lo[:, 1:] = poles[: count - 1]
+    hi[:, :g] = poles[:count]
+    if count > g:
+        hi[:, g] = np.maximum(poles[-1], head) + total
+
+    def secular(mu: np.ndarray) -> np.ndarray:
+        return (head[:, None] - mu) - np.sum(w2[:, None, :] / (poles - mu[..., None]), axis=-1)
+
+    def slope(mu: np.ndarray) -> np.ndarray:
+        d = poles - mu[..., None]
+        return -1.0 - np.sum(w2[:, None, :] / (d * d), axis=-1)
+
+    return _bracketed_roots(secular, slope, lo, hi)
+
+
+def _flat_points(x, z) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter points as two 1-d float arrays of equal length."""
+
+    x, z = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(z, dtype=np.float64))
+    x, z = x.reshape(-1), z.reshape(-1)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        raise ValueError("parameter points must be finite")
+    return x, z
+
+
 @dataclass(frozen=True, eq=False)
 class LowestLevels:
     """The two lowest eigenvalues and the ground vector at a batch of points.
@@ -240,10 +285,7 @@ def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.nd
     vector made uniform.
     """
 
-    x, z = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(z, dtype=np.float64))
-    x, z = x.reshape(-1), z.reshape(-1)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-        raise ValueError("parameter points must be finite")
+    x, z = _flat_points(x, z)
     factor, divisor = variant_scales(variant, diag.dimension)
     hist = diag.histogram
     poles = factor * hist.values.astype(np.float64)
@@ -275,26 +317,8 @@ def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.nd
     if np.any(live):
         b = border[live]
         q = quarter[live]
-        head_mu = -2.0 * q
-        w2 = (b * b)[:, None] * k[None, :]
-        total = math.sqrt(diag.dimension) * np.abs(b) + 1.0
-        lo = np.empty((b.size, 2))
-        hi = np.empty((b.size, 2))
-        lo[:, 0] = np.minimum(poles[0], head_mu) - total
-        hi[:, 0] = poles[0]
-        lo[:, 1] = poles[0]
-        hi[:, 1] = poles[1] if poles.size > 1 else np.maximum(poles[0], head_mu) + total
-        if repeated:  # e1 is pinned to the lowest body level; only e0 needs solving
-            lo, hi = lo[:, :1], hi[:, :1]
-
-        def secular(mu: np.ndarray) -> np.ndarray:
-            return (head_mu[:, None] - mu) - np.sum(w2[:, None, :] / (poles - mu[..., None]), axis=-1)
-
-        def slope(mu: np.ndarray) -> np.ndarray:
-            d = poles - mu[..., None]
-            return -1.0 - np.sum(w2[:, None, :] / (d * d), axis=-1)
-
-        roots = _bracketed_roots(secular, slope, lo, hi)
+        # A repeated lowest count pins e1 to its body level; only e0 needs solving.
+        roots = _leftmost_roots(poles, k, diag.dimension, b, -2.0 * q, 1 if repeated else 2)
         mu0 = roots[:, 0]
         mu0 = np.where(mu0 >= poles[0], np.nextafter(mu0, -np.inf), mu0)
         mu1 = poles[0] if repeated else roots[:, 1]
@@ -309,6 +333,72 @@ def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.nd
         amplitudes[live] = a / norm[:, None]
         head[live] = 1.0 / norm
     return LowestLevels(e0=e0, e1=e1, gap=gap, amplitudes=amplitudes, head=head)
+
+
+@dataclass(frozen=True, eq=False)
+class AllLevels:
+    """The whole spectrum at a batch of points, kept run-length encoded.
+
+    ``roots[p]`` holds the ``G + 1`` eigenvalues of the symmetric sector,
+    ascending, root ``j`` lying between body levels ``j - 1`` and ``j``;
+    ``levels[p]`` holds the body levels ``z/4 + s * u_g``.  The whole
+    ascending spectrum at point ``p`` is
+
+        roots[p, 0], levels[p, 0] x (k_0 - 1), roots[p, 1], ..., roots[p, G]
+    """
+
+    roots: np.ndarray  # (points, groups + 1)
+    levels: np.ndarray  # (points, groups)
+    counts: np.ndarray  # k_g
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Values ``(points, 2G + 1)`` and how often each column repeats in the spectrum."""
+
+        values = np.empty((self.roots.shape[0], 2 * self.levels.shape[1] + 1))
+        values[:, 0::2] = self.roots
+        values[:, 1::2] = self.levels
+        repeats = np.ones(values.shape[1], dtype=np.int64)
+        repeats[1::2] = self.counts - 1
+        return values, repeats
+
+    def level(self, index: int) -> np.ndarray:
+        """Eigenvalue number ``index`` (ascending; negative counts from the top) at every point."""
+
+        values, repeats = self.runs()
+        ends = np.cumsum(repeats)
+        if not -ends[-1] <= index < ends[-1]:
+            raise IndexError(f"level {index} outside a spectrum of {int(ends[-1])} levels")
+        return values[:, int(np.searchsorted(ends, index % ends[-1], side="right"))]
+
+
+def all_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarray) -> AllLevels:
+    """Whole spectrum of ``build(diag, (x, z), variant)`` at every point, in one batch.
+
+    All ``G + 1`` secular roots of every point are solved together by the
+    batched solve behind ``lowest_levels``; the other eigenvalues are the
+    body levels repeated ``k_g - 1`` times.  At ``x = 0`` the sector is
+    diagonal and its roots are its sorted diagonal, as in
+    ``eigen_arrowhead``'s diagonal branch.
+    """
+
+    x, z = _flat_points(x, z)
+    factor, divisor = variant_scales(variant, diag.dimension)
+    hist = diag.histogram
+    poles = factor * hist.values.astype(np.float64)
+    quarter = z[:, None] / 4.0
+    border = x / divisor
+    levels = quarter + poles
+    roots = np.empty((x.size, poles.size + 1))
+    flat = border == 0.0
+    roots[flat] = np.sort(np.concatenate((levels[flat], -quarter[flat]), axis=1), axis=1)
+    live = ~flat
+    if np.any(live):
+        mu = _leftmost_roots(
+            poles, hist.counts.astype(np.float64), diag.dimension, border[live],
+            -2.0 * quarter[live, 0], poles.size + 1,
+        )
+        roots[live] = quarter[live] + mu
+    return AllLevels(roots=roots, levels=levels, counts=hist.counts)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

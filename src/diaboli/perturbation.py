@@ -24,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateUnperturbed
-from .eigensolver import eigen_arrowhead, min_gap_on_segment
-from .hamiltonian import ParameterPoint, build, variant_scales
+from .eigensolver import all_levels, min_gap_on_segment
+from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
+from .hamiltonian import ParameterPoint, variant_scales
+from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .instance import ViolationDiagonal
 
 _DEGENERACY_ATOL = 1e-12
@@ -181,10 +183,5 @@ def fitted_level_coefficient(
     """Fit one exact eigenlevel over a symmetric x window; return the x**2 term."""
 
     xs = np.linspace(-half_width, half_width, points)
-    ys = np.array(
-        [
-            eigen_arrowhead(build(diag, ParameterPoint(x=float(x), z=z), variant)).eigenvalues[level]
-            for x in xs
-        ]
-    )
+    ys = all_levels(diag, variant, xs, z).level(level)
     return float(even_polynomial_fit(xs, ys, degree=degree)[1])

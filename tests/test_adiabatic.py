@@ -5,14 +5,22 @@ import math
 import numpy as np
 import pytest
 
+import diaboli.adiabatic as adiabatic
 from diaboli import (
+    VARIANTS,
     LoopPath,
+    NormDrift,
+    ParameterPoint,
     Schedule,
     ScheduleInvalid,
     ViolationDiagonal,
+    build,
     evolution_csv,
     evolve,
     fidelity_vs_time,
+    lowest_levels,
+    random_instance,
+    violation_diagonal,
     worst_case_diagonal,
 )
 
@@ -111,3 +119,87 @@ def test_evolution_csv_shape():
     assert len(lines) == 102  # start snapshot plus one row per step
     assert float(lines[1].split(",")[0]) == 0.0
     assert float(lines[-1].split(",")[0]) == pytest.approx(50.0)
+
+
+def dense_walk(diag, variant, schedule):
+    """Oracle: step the full (2**n + 1)-dim state with one dense eigh per step."""
+
+    loop = adiabatic._ArcLengthLoop(RECT)
+    s_edges = np.linspace(0.0, 1.0, schedule.steps + 1)
+    x_mid, z_mid = loop.points_at(0.5 * (s_edges[:-1] + s_edges[1:]))
+    durations = adiabatic._step_durations(diag, variant, (x_mid, z_mid), schedule)
+    edges = lowest_levels(diag, variant, *loop.points_at(s_edges))
+    grounds = np.concatenate((edges.amplitudes[:, diag.histogram.inverse], edges.head[:, None]), axis=1)
+    psi = grounds[0].astype(np.complex128)
+    fidelities = [abs(np.vdot(grounds[0], psi)) ** 2]
+    for j in range(schedule.steps):
+        ham = build(diag, ParameterPoint(float(x_mid[j]), float(z_mid[j])), variant)
+        w, v = np.linalg.eigh(ham.to_dense())
+        psi = v @ (np.exp(-1j * w * durations[j]) * (v.T @ psi))
+        fidelities.append(abs(np.vdot(grounds[j + 1], psi)) ** 2)
+    dynamical = -float(np.sum(0.5 * (edges.e0[:-1] + edges.e0[1:]) * durations))
+    total = float(np.angle(np.vdot(grounds[0], psi)))
+    return psi, np.array(fidelities), edges, dynamical, total
+
+
+def walk_diagonals(rng, n):
+    """One solution, none, several, and a random draw (random CNF from n = 3)."""
+
+    several = rng.integers(1, 4, size=2**n)
+    several[rng.choice(2**n, size=max(2, 2**n // 4), replace=False)] = 0
+    if n >= 3:
+        drawn = violation_diagonal(random_instance(n, int(rng.integers(1, 4 * n)), rng))
+    else:
+        drawn = ViolationDiagonal(rng.integers(0, 3, size=2**n))
+    return (
+        worst_case_diagonal(n, int(rng.integers(2**n))),
+        worst_case_diagonal(n, None),
+        ViolationDiagonal(several),
+        drawn,
+    )
+
+
+@pytest.mark.parametrize("profile", ["uniform", "gap_adaptive"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sector_evolution_matches_a_dense_walk(variant, profile):
+    rng = np.random.default_rng(4242)
+    schedule = Schedule(30.0, profile, steps=120)
+    for n in range(1, 7):
+        for diag in walk_diagonals(rng, n):
+            result = evolve(diag, variant, RECT, schedule, collect_log=True)
+            psi, fidelities, edges, dynamical, total = dense_walk(diag, variant, schedule)
+            np.testing.assert_allclose(result.final_state, psi, rtol=0, atol=1e-10)
+            assert result.ground_fidelity == pytest.approx(fidelities[-1], abs=1e-10)
+            assert result.dynamical_phase == pytest.approx(dynamical, abs=1e-10)
+            assert circular_distance(result.total_phase, total) < 1e-10
+            geometric = math.remainder(total - dynamical, 2.0 * math.pi)
+            assert circular_distance(result.geometric_phase_estimate, geometric) < 1e-10
+            log = result.log
+            np.testing.assert_allclose([row.e0 for row in log], edges.e0, rtol=0, atol=1e-10)
+            np.testing.assert_allclose([row.e1 for row in log], edges.e1, rtol=0, atol=1e-10)
+            np.testing.assert_allclose([row.fidelity for row in log], fidelities, rtol=0, atol=1e-10)
+
+
+def test_evolution_runs_past_the_dense_size_cap():
+    diag = worst_case_diagonal(16, solution_index=40503)
+    result = evolve(diag, "x_scaled", RECT, Schedule(1e3, "gap_adaptive"))
+    assert result.max_norm_drift < 1e-9
+    assert result.ground_fidelity >= 0.99
+    state = result.final_state
+    assert state.shape == (2**16 + 1,)
+    inverse = diag.histogram.inverse
+    for group in range(diag.histogram.values.size):  # group-uniform
+        members = state[:-1][inverse == group]
+        assert np.all(members == members[0])
+
+
+def test_norm_drift_raises(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def stretched(a):
+        w, v = eigh(a)
+        return w, v * (1.0 + 1e-5)
+
+    monkeypatch.setattr(np.linalg, "eigh", stretched)
+    with pytest.raises(NormDrift, match="norm drifted"):
+        evolve(worst_case_diagonal(3, 0), "unscaled", RECT, Schedule(50.0, steps=100))

@@ -5,9 +5,19 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from diaboli import ParameterPoint, build, eigen_arrowhead, worst_case_diagonal
+from diaboli import (
+    VARIANTS,
+    ParameterPoint,
+    build,
+    eigen_arrowhead,
+    random_instance,
+    render_dimacs,
+    violation_diagonal,
+    worst_case_diagonal,
+)
 from diaboli.cli import main
 
 CNF = """c single soluble clause
@@ -48,16 +58,61 @@ def test_spectrum_csv_matches_the_solver(tmp_path, capsys):
     assert first[2:11] == pytest.approx(list(spec.eigenvalues), abs=1e-15)
 
 
-def test_spectrum_output_is_deterministic(tmp_path, capsys, monkeypatch):
+def test_spectrum_output_is_deterministic(capsys):
     argv = [
         "spectrum", "wc:n=4,sol=3", "--sweep", "z", "--fixed", "0.1",
         "--range=-1:1", "--samples", "33",
     ]
-    monkeypatch.setenv("DIABOLI_THREADS", "1")
-    _, serial = run_cli(capsys, *argv)
-    monkeypatch.setenv("DIABOLI_THREADS", "4")
-    _, threaded = run_cli(capsys, *argv)
-    assert serial == threaded and len(serial) > 0
+    _, first = run_cli(capsys, *argv)
+    _, second = run_cli(capsys, *argv)
+    assert first == second and len(first) > 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_spectrum_csv_matches_per_point_solves(tmp_path, capsys, variant):
+    rng = np.random.default_rng(8080)
+    sweeps = (  # (swept axis, fixed value, range); each includes x = 0
+        ("x", "-1", "0:0.2"),
+        ("z", "0", "-1:1"),
+        ("z", "0.1", "-1:1"),
+    )
+    for n in range(1, 11):
+        planted = int(rng.integers(2**n))
+        cases = [(f"wc:n={n},sol={planted}", worst_case_diagonal(n, planted))]
+        if n >= 3:
+            instance = random_instance(n, int(rng.integers(1, 5 * n)), rng)
+            cnf = tmp_path / f"draw{n}.cnf"
+            cnf.write_text(render_dimacs(instance))
+            cases.append((str(cnf), violation_diagonal(instance)))
+        for source, diag in cases:
+            for sweep, fixed, span in sweeps:
+                code, out = run_cli(
+                    capsys, "spectrum", source, "--variant", variant, "--sweep", sweep,
+                    "--fixed", fixed, f"--range={span}", "--samples", "9",
+                )
+                assert code == 0
+                lines = out.splitlines()
+                assert lines[0] == "x,z," + ",".join(f"e{i}" for i in range(2**n + 1)) + ",gap01"
+                assert len(lines) == 10
+                swept = np.linspace(*(float(v) for v in span.split(":")), 9)
+                for line, value in zip(lines[1:], swept.tolist()):
+                    x, z = (value, float(fixed)) if sweep == "x" else (float(fixed), value)
+                    cells = line.split(",")
+                    assert cells[:2] == [f"{x:.17g}", f"{z:.17g}"]
+                    got = np.array(cells[2:], dtype=np.float64)
+                    want = eigen_arrowhead(build(diag, ParameterPoint(x, z), variant)).eigenvalues
+                    # relative to each value; a value that cancels to ~1e-17 is held to
+                    # the same 1e-12 relative to the spectral radius
+                    radius = float(np.max(np.abs(want)))
+                    np.testing.assert_allclose(got[:-1], want, rtol=1e-12, atol=1e-12 * radius)
+                    assert got[-1] == got[1] - got[0]
+
+
+def test_seed_flag_is_gone(capsys):
+    argv = ["spectrum", "wc:n=3,sol=0", "--sweep", "x", "--fixed", "-1", "--range", "0:0.2"]
+    assert main(argv) == 0
+    assert main(argv + ["--seed", "3"]) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_berry_json_and_transport_log(tmp_path, capsys):

@@ -10,6 +10,7 @@ from diaboli import (
     ConvergenceFailure,
     ParameterPoint,
     ViolationDiagonal,
+    all_levels,
     build,
     eigen_arrowhead,
     eigen_dense,
@@ -178,3 +179,23 @@ def test_min_gap_respects_endpoints():
     point, gap = min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=0.3, hi=0.5)
     # gap grows with |x| out here, so the left endpoint wins
     assert point.x == pytest.approx(0.3, abs=1e-6)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_all_levels_match_dense_at_random_points(variant):
+    rng = np.random.default_rng(717)
+    for n in (1, 2, 4, 7):
+        diag = ViolationDiagonal(rng.integers(0, 4, size=2**n))
+        xs = rng.uniform(-1.5, 1.5, size=10)
+        zs = rng.uniform(-1.5, 1.5, size=10)
+        xs[:3] = 0.0  # the diagonal branch
+        levels = all_levels(diag, variant, xs, zs)
+        spectra = np.repeat(*levels.runs(), axis=1)
+        assert spectra.shape == (10, 2**n + 1)
+        for p, (x, z) in enumerate(zip(xs, zs)):
+            want = eigen_dense(build(diag, ParameterPoint(float(x), float(z)), variant)).eigenvalues
+            np.testing.assert_allclose(spectra[p], want, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(want))))
+        for index in (0, 1, 2**n, -1, -(2**n + 1)):
+            assert np.array_equal(levels.level(index), spectra[:, index])
+        with pytest.raises(IndexError):
+            levels.level(2**n + 1)

@@ -171,3 +171,20 @@ def test_fitted_coefficients_match_perturbation_theory():
     first = fitted_level_coefficient(diag, z=-1.0, variant="unscaled", level=1)
     assert ground == pytest.approx(-2.0, rel=0.02)
     assert first == pytest.approx(-252.0, rel=0.02)
+
+
+@pytest.mark.parametrize("variant", ["unscaled", "z_scaled", "x_scaled"])
+def test_batched_fit_matches_a_per_point_fit(variant):
+    rng = np.random.default_rng(1357)
+    xs = np.linspace(-0.01, 0.01, 21)
+    for n in range(3, 10):
+        drawn = violation_diagonal(random_instance(n, int(rng.integers(1, 5 * n)), rng))
+        for diag in (worst_case_diagonal(n, int(rng.integers(2**n))), drawn):
+            spectra = [
+                eigen_arrowhead(build(diag, ParameterPoint(x=float(x), z=-1.0), variant)).eigenvalues
+                for x in xs
+            ]
+            for level in (0, 1, 2):
+                want = even_polynomial_fit(xs, np.array([e[level] for e in spectra]))[1]
+                got = fitted_level_coefficient(diag, z=-1.0, variant=variant, level=level)
+                assert got == pytest.approx(want, rel=1e-9)
