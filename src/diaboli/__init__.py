@@ -17,7 +17,6 @@ from .adiabatic import (
     Schedule,
     evolution_csv,
     evolve,
-    fidelity_vs_time,
 )
 from .eigensolver import (
     AllLevels,
@@ -69,8 +68,6 @@ from .holonomy import (
 from .instance import (
     CnfInstance,
     ViolationDiagonal,
-    brute_force_solubility,
-    diagonal_csv,
     parse_dimacs,
     random_instance,
     render_dimacs,
@@ -118,10 +115,10 @@ __all__ = [
     "OracleFailure",
     "ParameterPoint",
     "RefinementExhausted",
+    "Schedule",
     "ScheduleInvalid",
     "SearchStep",
     "SearchTrace",
-    "Schedule",
     "Spectrum",
     "SubspaceMask",
     "TransportStep",
@@ -132,15 +129,12 @@ __all__ = [
     "all_levels",
     "berry_phase",
     "brute_force_oracle",
-    "brute_force_solubility",
     "build",
-    "diagonal_csv",
     "eigen_arrowhead",
     "eigen_dense",
     "even_polynomial_fit",
     "evolution_csv",
     "evolve",
-    "fidelity_vs_time",
     "fitted_level_coefficient",
     "lowest_levels",
     "min_gap_on_segment",

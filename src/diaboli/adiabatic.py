@@ -236,35 +236,6 @@ def evolve(
     )
 
 
-def fidelity_vs_time(
-    diag: ViolationDiagonal,
-    variant: str,
-    path: LoopPath,
-    times: list[float],
-    speed_profile: str = "gap_adaptive",
-    steps: int = 2000,
-) -> list[dict]:
-    """One summary row per total_time, in the order given."""
-
-    rows = []
-    for total_time in times:
-        schedule = Schedule(total_time=float(total_time), speed_profile=speed_profile, steps=steps)
-        result = evolve(diag, variant, path, schedule)
-        rows.append(
-            {
-                "total_time": result.total_time,
-                "speed_profile": result.speed_profile,
-                "steps": result.steps,
-                "ground_fidelity": result.ground_fidelity,
-                "dynamical_phase": result.dynamical_phase,
-                "total_phase": result.total_phase,
-                "geometric_phase_estimate": result.geometric_phase_estimate,
-                "max_norm_drift": result.max_norm_drift,
-            }
-        )
-    return rows
-
-
 def evolution_csv(result: EvolutionResult) -> str:
     """CSV dump of an evolution log collected with ``collect_log=True``."""
 

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: spectrum, berry, predict-gap, evolve, solve, selftest.
+Subcommands: spectrum, berry, predict-gap, evolve, solve.
 Instances come either from a DIMACS CNF file or from the synthetic
 worst-case family written as ``wc:n=<vars>,sol=<index|none>``.
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -80,9 +81,31 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = float(lo_text), float(hi_text)
     except ValueError as exc:
         raise UsageError(f"non-numeric range {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"range ends must be finite, got {text!r}")
     if not lo < hi:
         raise UsageError(f"range must satisfy lo < hi, got {text!r}")
     return lo, hi
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -161,22 +184,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    del args
-    acceptance = None
-    for base in Path(__file__).resolve().parents:
-        candidate = base / "tests" / "test_acceptance.py"
-        if candidate.is_file():
-            acceptance = candidate
-            break
-    if acceptance is None:
-        raise DiaboliError("acceptance tests not found next to the package sources")
-    import pytest
-
-    code = pytest.main(["-v", str(acceptance)])
-    return 0 if code == 0 else 2
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="diaboli", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -189,20 +196,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="sweep one parameter and dump all eigenvalues as CSV")
     add_common(p)
     p.add_argument("--sweep", choices=("x", "z"), required=True)
-    p.add_argument("--fixed", type=float, required=True, help="value of the non-swept parameter")
+    p.add_argument("--fixed", type=_finite_float, required=True, help="value of the non-swept parameter")
     p.add_argument("--range", required=True, help="sweep range, lo:hi")
-    p.add_argument("--samples", type=int, default=101)
+    p.add_argument("--samples", type=_positive_int, default=101)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("berry", help="transport the ground state around the standard loop")
     add_common(p)
-    p.add_argument("--samples-per-edge", type=int, default=DEFAULT_SAMPLES_PER_EDGE)
+    p.add_argument("--samples-per-edge", type=_positive_int, default=DEFAULT_SAMPLES_PER_EDGE)
     p.add_argument("--transport-csv", default=None, help="also write the per-step transport log")
     p.set_defaults(func=_cmd_berry)
 
     p = sub.add_parser("predict-gap", help="second-order gap location vs numeric sweep")
     add_common(p)
-    p.add_argument("--z", type=float, default=-1.0)
+    p.add_argument("--z", type=_finite_float, default=-1.0)
     p.set_defaults(func=_cmd_predict_gap)
 
     p = sub.add_parser("evolve", help="time evolution once around the loop")
@@ -217,9 +224,6 @@ def _build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--oracle", choices=("berry", "brute"), default="berry")
     p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("selftest", help="run the acceptance test suite")
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

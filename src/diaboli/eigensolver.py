@@ -20,7 +20,6 @@ from the root:
 
     v[i] = b / (lam0 - d[i]),   v[head] = 1,   then normalize.
 
-``eigen_arrowhead`` returns the whole spectrum of one matrix.
 ``lowest_levels`` serves the loop transport, gap scans and evolution
 schedules: it groups a violation diagonal once by its exact histogram
 (distinct count ``u_g``, multiplicity ``k_g``) and solves only the two
@@ -28,8 +27,11 @@ lowest roots, for a whole batch of parameter points at once, returning
 the ground vector as one amplitude per group.  ``all_levels`` runs the
 same batched solve for all ``G + 1`` roots and serves the spectrum sweeps;
 it keeps the spectrum run-length encoded, since each body level repeats
-``k_g - 1`` times.  ``eigen_dense`` provides the independent cross-check
-through ``numpy.linalg.eigh`` on the materialized matrix.
+``k_g - 1`` times.  ``eigen_arrowhead`` returns the whole spectrum of any
+one arrowhead matrix: it groups the body to float tolerance and runs the
+same batched solve at a single point.  ``eigen_dense`` provides the
+independent cross-check through ``numpy.linalg.eigh`` on the materialized
+matrix.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     ground_vector: np.ndarray | None = None
-
-    @property
-    def ground_energy(self) -> float:
-        return float(self.eigenvalues[0])
 
     @property
     def gap01(self) -> float:
@@ -131,66 +129,25 @@ def _bracketed_roots(secular, slope, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return lam
 
 
-def _secular_roots(values: np.ndarray, counts: np.ndarray, border: float, head: float) -> np.ndarray:
-    """All p+1 non-deflated eigenvalues, one per interlacing bracket."""
+def eigen_arrowhead(ham: ArrowheadHamiltonian) -> Spectrum:
+    """Full spectrum of one arrowhead matrix, ascending.
 
-    w2 = (border * border) * counts.astype(np.float64)
-    p = values.size
-    total = float(np.sqrt(counts.sum())) * abs(border) + 1.0
-    lo = np.empty(p + 1)
-    hi = np.empty(p + 1)
-    lo[0] = min(values[0], head) - total
-    lo[1:] = values
-    hi[:p] = values
-    hi[p] = max(values[-1], head) + total
-
-    def secular(lam: np.ndarray) -> np.ndarray:
-        return (head - lam) - np.sum(w2[:, None] / (values[:, None] - lam[None, :]), axis=0)
-
-    def slope(lam: np.ndarray) -> np.ndarray:
-        dcol = values[:, None] - lam[None, :]
-        return -1.0 - np.sum(w2[:, None] / (dcol * dcol), axis=0)
-
-    return _bracketed_roots(secular, slope, lo, hi)
-
-
-def eigen_arrowhead(ham: ArrowheadHamiltonian, want_ground_vector: bool = False) -> Spectrum:
-    """Full spectrum (and optionally the ground vector) of an arrowhead matrix."""
+    The body is grouped to float tolerance, so this serves any arrowhead;
+    its ``p + 1`` secular roots come from the batched solve behind
+    ``lowest_levels``, run at one point.
+    """
 
     body = ham.body_diag
-    border = ham.border
-    head = ham.head_diag
-    n = body.size
-
-    if border == 0.0:
-        full = np.append(body, head)
-        order = np.argsort(full, kind="stable")
-        vector = None
-        if want_ground_vector:
-            vector = np.zeros(n + 1)
-            vector[order[0]] = 1.0
-        return Spectrum(eigenvalues=full[order], ground_vector=vector)
+    if ham.border == 0.0:
+        full = np.append(body, ham.head_diag)
+        return Spectrum(eigenvalues=full[np.argsort(full, kind="stable")])
 
     values, counts = _group_body(body)
-    roots = _secular_roots(values, counts, border, head)
+    roots = _leftmost_roots(
+        values, counts, body.size, np.array([ham.border]), np.array([ham.head_diag]), values.size + 1
+    )[0]
     deflated = np.repeat(values, counts - 1)
-    eigenvalues = np.sort(np.concatenate((roots, deflated)))
-
-    vector = None
-    if want_ground_vector:
-        lam0 = float(roots[0])  # leftmost root sits below every body value
-        den = lam0 - body
-        if np.any(den >= 0.0):
-            lam0 = float(np.nextafter(lam0, -np.inf))
-            den = lam0 - body
-        vector = np.empty(n + 1)
-        vector[:n] = border / den
-        vector[n] = 1.0
-        norm = float(np.linalg.norm(vector))
-        if not (math.isfinite(norm) and norm > 0.0):
-            raise ConvergenceFailure("ground vector overflowed; root too close to a pole")
-        vector /= norm
-    return Spectrum(eigenvalues=eigenvalues, ground_vector=vector)
+    return Spectrum(eigenvalues=np.sort(np.concatenate((roots, deflated))))
 
 
 def eigen_dense(ham: ArrowheadHamiltonian, want_ground_vector: bool = True) -> Spectrum:
@@ -216,11 +173,12 @@ def _leftmost_roots(
 ) -> np.ndarray:
     """The ``count`` leftmost secular roots at every point, shape ``(points, count)``.
 
-    Works in the frame ``mu = lam - z/4``: ``poles`` are the fixed body
-    levels ``s * u_g`` (ascending) of multiplicity ``k``, ``size`` is
-    ``sum(k)``, and each point has its own nonzero ``border`` and head
-    level ``head``.  Root ``j`` lies between poles ``j - 1`` and ``j``, so
-    ``count = G + 1`` gives all the non-deflated levels.
+    ``poles`` are the distinct body levels (ascending) of multiplicity
+    ``k``, ``size`` is ``sum(k)``, and each point has its own nonzero
+    ``border`` and head level ``head``.  The violation-diagonal callers
+    work in the frame ``mu = lam - z/4``, where the poles ``s * u_g`` do
+    not move with the point.  Root ``j`` lies between poles ``j - 1`` and
+    ``j``, so ``count = G + 1`` gives all the non-deflated levels.
     """
 
     g = poles.size

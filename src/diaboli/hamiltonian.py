@@ -15,7 +15,6 @@ subproblems scale by their own size.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -71,8 +70,6 @@ class ArrowheadHamiltonian:
     body_diag: np.ndarray
     border: float
     head_diag: float
-    params: ParameterPoint | None = None
-    variant: str | None = None
 
     def __post_init__(self) -> None:
         body = np.asarray(self.body_diag, dtype=np.float64)
@@ -103,30 +100,6 @@ class ArrowheadHamiltonian:
         mat[-1, :-1] = self.border
         return mat
 
-    def descriptor(self) -> dict:
-        """Small JSON-ready summary of how this operator was built."""
-
-        n = None
-        size = self.body_diag.size
-        if size & (size - 1) == 0:
-            n = int(size).bit_length() - 1
-        return {
-            "variant": self.variant,
-            "n": n,
-            "x": self.params.x if self.params is not None else None,
-            "z": self.params.z if self.params is not None else None,
-        }
-
-    def descriptor_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True, indent=2) + "\n"
-
-    def dense_csv(self) -> str:
-        """CSV dump of the dense matrix, one row per line, %.17g cells."""
-
-        mat = self.to_dense()
-        lines = [",".join(f"{v:.17g}" for v in row) for row in mat]
-        return "\n".join(lines) + "\n"
-
 
 def variant_scales(variant: str, size: int) -> tuple[float, float]:
     """Body factor on the violation counts and divisor of ``x`` for a body of ``size`` states."""
@@ -147,8 +120,6 @@ def build(diag: ViolationDiagonal, point: ParameterPoint, variant: str = "unscal
         body_diag=quarter + factor * diag.entries.astype(np.float64),
         border=point.x / divisor,
         head_diag=-quarter,
-        params=point,
-        variant=variant,
     )
 
 

@@ -217,13 +217,6 @@ def violation_diagonal(inst: CnfInstance) -> ViolationDiagonal:
     return ViolationDiagonal(entries=counts, n_vars=inst.n_vars)
 
 
-def brute_force_solubility(diag: ViolationDiagonal) -> tuple[bool, list[int]]:
-    """Scan the diagonal for zero entries; returns (soluble, solution indices)."""
-
-    sols = diag.solutions
-    return (len(sols) > 0, sols)
-
-
 def worst_case_diagonal(n: int, solution_index: int | None = None) -> ViolationDiagonal:
     """Diagonal with every entry 1 except a single optional 0.
 
@@ -256,11 +249,3 @@ def random_instance(n_vars: int, n_clauses: int, rng: np.random.Generator | int)
         clauses.append(tuple(int(v * s) for v, s in zip(variables, signs)))
     return CnfInstance(n_vars=n_vars, clauses=tuple(clauses))
 
-
-def diagonal_csv(diag: ViolationDiagonal) -> str:
-    """CSV dump of the diagonal with an ``index,violations`` header."""
-
-    lines = ["index,violations"]
-    for i, v in enumerate(diag.entries):
-        lines.append(f"{i},{int(v)}")
-    return "\n".join(lines) + "\n"

@@ -31,6 +31,9 @@ from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this mo
 from .instance import ViolationDiagonal
 
 _DEGENERACY_ATOL = 1e-12
+_SWEEP_SAMPLES = 201  # coarse samples of the numeric gap sweep
+_FIT_HALF_WIDTH = 0.01  # level fits use x in [-_FIT_HALF_WIDTH, _FIT_HALF_WIDTH]
+_FIT_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -105,27 +108,19 @@ def second_order(diag: ViolationDiagonal, z: float, variant: str = "unscaled") -
     )
 
 
-def prediction_error(
-    diag: ViolationDiagonal,
-    z: float,
-    variant: str = "unscaled",
-    sweep_lo: float | None = None,
-    sweep_hi: float | None = None,
-    samples: int = 201,
-) -> GapComparison:
+def prediction_error(diag: ViolationDiagonal, z: float, variant: str = "unscaled") -> GapComparison:
     """Compare the predicted crossing location with a numerical gap sweep.
 
-    The default sweep covers [0, max(0.2, 2.5 * prediction)] when a
-    crossing is predicted and the symmetric window [-0.5, 0.5] otherwise.
+    The sweep covers [0, max(0.2, 2.5 * prediction)] when a crossing is
+    predicted and the symmetric window [-0.5, 0.5] otherwise.
     """
 
     prediction = second_order(diag, z, variant)
-    if sweep_lo is None or sweep_hi is None:
-        if prediction.x_gap_predicted is not None:
-            sweep_lo, sweep_hi = 0.0, max(0.2, 2.5 * prediction.x_gap_predicted)
-        else:
-            sweep_lo, sweep_hi = -0.5, 0.5
-    point, gap = min_gap_on_segment(diag, variant, "x", z, sweep_lo, sweep_hi, samples=samples)
+    if prediction.x_gap_predicted is not None:
+        sweep_lo, sweep_hi = 0.0, max(0.2, 2.5 * prediction.x_gap_predicted)
+    else:
+        sweep_lo, sweep_hi = -0.5, 0.5
+    point, gap = min_gap_on_segment(diag, variant, "x", z, sweep_lo, sweep_hi, samples=_SWEEP_SAMPLES)
     error = None
     if prediction.x_gap_predicted is not None:
         error = abs(prediction.x_gap_predicted - abs(point.x))
@@ -153,35 +148,24 @@ def prediction_report(diag: ViolationDiagonal, z: float, variant: str = "unscale
     }
 
 
-def even_polynomial_fit(xs: np.ndarray, ys: np.ndarray, degree: int = 4) -> np.ndarray:
-    """Least-squares fit of an even polynomial; returns [c0, c2, c4, ...].
+def even_polynomial_fit(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Least-squares fit of an even quartic; returns [c0, c2, c4].
 
     Levels of these operators are even in x, and near an avoided crossing
     the quartic term is far from negligible, so extracting a trustworthy
     x**2 coefficient over a finite window needs the x**4 term in the basis.
     """
 
-    if degree % 2 != 0 or degree < 2:
-        raise ValueError("degree must be a positive even integer")
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    powers = np.arange(0, degree + 1, 2)
-    design = xs[:, None] ** powers[None, :]
+    design = xs[:, None] ** np.array([0, 2, 4])[None, :]
     coeffs, _, _, _ = np.linalg.lstsq(design, ys, rcond=None)
     return coeffs
 
 
-def fitted_level_coefficient(
-    diag: ViolationDiagonal,
-    z: float,
-    variant: str,
-    level: int,
-    half_width: float = 0.01,
-    points: int = 21,
-    degree: int = 4,
-) -> float:
-    """Fit one exact eigenlevel over a symmetric x window; return the x**2 term."""
+def fitted_level_coefficient(diag: ViolationDiagonal, z: float, variant: str, level: int) -> float:
+    """Fit one exact eigenlevel over a small symmetric x window; return the x**2 term."""
 
-    xs = np.linspace(-half_width, half_width, points)
+    xs = np.linspace(-_FIT_HALF_WIDTH, _FIT_HALF_WIDTH, _FIT_POINTS)
     ys = all_levels(diag, variant, xs, z).level(level)
-    return float(even_polynomial_fit(xs, ys, degree=degree)[1])
+    return float(even_polynomial_fit(xs, ys)[1])

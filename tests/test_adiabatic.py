@@ -17,7 +17,6 @@ from diaboli import (
     build,
     evolution_csv,
     evolve,
-    fidelity_vs_time,
     lowest_levels,
     random_instance,
     violation_diagonal,
@@ -90,22 +89,6 @@ def test_phase_bookkeeping_closes():
     assert circular_distance(result.geometric_phase_estimate, recomputed) < 1e-12
     assert -math.pi < result.geometric_phase_estimate <= math.pi
     assert result.dynamical_phase != 0.0
-
-
-def test_fidelity_vs_time_one_row_per_time():
-    diag = ViolationDiagonal(np.array([0, 1]))
-    rows = fidelity_vs_time(diag, "unscaled", RECT, [20.0, 200.0], steps=400)
-    assert [row["total_time"] for row in rows] == [20.0, 200.0]
-    assert set(rows[0]) == {
-        "total_time",
-        "speed_profile",
-        "steps",
-        "ground_fidelity",
-        "dynamical_phase",
-        "total_phase",
-        "geometric_phase_estimate",
-        "max_norm_drift",
-    }
 
 
 def test_evolution_csv_shape():

@@ -115,6 +115,34 @@ def test_seed_flag_is_gone(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_selftest_is_gone(capsys):
+    assert main(["selftest"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+SPECTRUM = ["spectrum", "wc:n=3,sol=0", "--sweep", "x"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["berry", "wc:n=3,sol=0", "--samples-per-edge", "0"],
+        SPECTRUM + ["--fixed", "-1", "--range", "0:0.2", "--samples", "-1"],
+        SPECTRUM + ["--fixed", "-1", "--range", "0:0.2", "--samples", "0"],
+        SPECTRUM + ["--fixed", "nan", "--range", "0:0.2"],
+        ["predict-gap", "wc:n=3,sol=0", "--z", "nan"],
+        SPECTRUM + ["--fixed", "-1", "--range", "0:inf"],
+    ],
+    ids=["samples-per-edge-0", "samples-negative", "samples-0", "fixed-nan", "z-nan", "range-inf"],
+)
+def test_bad_numbers_are_usage_errors(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+
 def test_berry_json_and_transport_log(tmp_path, capsys):
     log = tmp_path / "transport.csv"
     code, out = run_cli(capsys, "berry", "wc:n=3,sol=5", "--transport-csv", str(log))

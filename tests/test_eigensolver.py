@@ -74,10 +74,8 @@ def test_deflation_keeps_repeated_body_values_exactly():
 
 def test_zero_border_returns_sorted_diagonal():
     ham = ArrowheadHamiltonian(body_diag=np.array([2.0, -1.0, 0.5]), border=0.0, head_diag=1.5)
-    spec = eigen_arrowhead(ham, want_ground_vector=True)
+    spec = eigen_arrowhead(ham)
     np.testing.assert_allclose(spec.eigenvalues, [-1.0, 0.5, 1.5, 2.0])
-    assert spec.ground_vector is not None
-    np.testing.assert_allclose(np.abs(spec.ground_vector), [0.0, 1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_interlacing_and_trace():
@@ -94,19 +92,6 @@ def test_interlacing_and_trace():
         distinct = np.unique(ham.body_diag)
         for lo, hi in zip(distinct[:-1], distinct[1:]):
             assert np.any((eigs >= lo - 1e-12) & (eigs <= hi + 1e-12))
-
-
-def test_ground_vector_residual_and_dense_agreement():
-    rng = np.random.default_rng(99)
-    for dim in (5, 33, 129):
-        ham = random_arrowhead(rng, dim)
-        spec = eigen_arrowhead(ham, want_ground_vector=True)
-        dense = ham.to_dense()
-        v = spec.ground_vector
-        lam = spec.ground_energy
-        assert np.linalg.norm(dense @ v - lam * v) <= 1e-10 * (1.0 + abs(lam))
-        ref = eigen_dense(ham, want_ground_vector=True)
-        assert abs(float(np.dot(v, ref.ground_vector))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_exhausted_newton_budget_raises(monkeypatch):
@@ -179,6 +164,12 @@ def test_min_gap_respects_endpoints():
     point, gap = min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=0.3, hi=0.5)
     # gap grows with |x| out here, so the left endpoint wins
     assert point.x == pytest.approx(0.3, abs=1e-6)
+
+
+def test_min_gap_raises_when_the_bracket_cannot_shrink_to_tol():
+    diag = worst_case_diagonal(3, solution_index=0)
+    with pytest.raises(ConvergenceFailure, match="golden-section"):
+        min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=0.0, hi=0.2, tol=0.0)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -1,6 +1,5 @@
 """Matrix assembly for the three coupling variants."""
 
-import json
 import math
 
 import numpy as np
@@ -80,19 +79,6 @@ def test_dense_materialization_has_a_size_limit():
         ham.to_dense()
 
 
-def test_descriptor_round_trips_through_json():
-    ham = build(worst_case_diagonal(3, solution_index=1), ParameterPoint(0.25, -1.0), "z_scaled")
-    desc = json.loads(ham.descriptor_json())
-    assert desc == {"variant": "z_scaled", "n": 3, "x": 0.25, "z": -1.0}
-
-
-def test_descriptor_n_is_none_for_restricted_spaces():
-    diag = worst_case_diagonal(3, solution_index=1)
-    sub = restrict(diag, SubspaceMask((0, 1, 5)))
-    ham = build(sub, ParameterPoint(0.1, -1.0))
-    assert ham.descriptor()["n"] is None
-
-
 def test_restrict_picks_selected_entries():
     diag = ViolationDiagonal(np.array([0, 1, 2, 3]))
     sub = restrict(diag, SubspaceMask((1, 3)))
@@ -127,13 +113,6 @@ def test_mask_validation():
     for bad in (slice(1, 1), slice(0, 3), slice(-1, 2), slice(0, 2, 2), slice(None, 1)):
         with pytest.raises(IndexOutOfRange):
             restrict(diag, bad)
-
-
-def test_dense_csv_is_square():
-    ham = build(worst_case_diagonal(2, solution_index=0), ParameterPoint(0.1, 0.2))
-    lines = ham.dense_csv().strip().splitlines()
-    assert len(lines) == 5
-    assert all(len(line.split(",")) == 5 for line in lines)
 
 
 def test_direct_construction_validates_body_shape():

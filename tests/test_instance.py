@@ -12,8 +12,6 @@ from diaboli import (
     MalformedHeader,
     VariableOutOfRange,
     ViolationDiagonal,
-    brute_force_solubility,
-    diagonal_csv,
     parse_dimacs,
     random_instance,
     render_dimacs,
@@ -131,18 +129,14 @@ def test_single_clause_violated_by_known_assignments():
     assert diag.entries.tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
-def test_brute_force_solubility_reports_indices():
-    soluble, sols = brute_force_solubility(worst_case_diagonal(3, solution_index=5))
-    assert soluble and sols == [5]
-    soluble, sols = brute_force_solubility(worst_case_diagonal(3))
-    assert not soluble and sols == []
-
-
 def test_worst_case_diagonal_shape():
     diag = worst_case_diagonal(4, solution_index=0)
     assert diag.dimension == 16
     assert diag.entries[0] == 0
     assert set(diag.entries[1:].tolist()) == {1}
+    assert worst_case_diagonal(3, solution_index=5).solutions == [5]
+    insoluble = worst_case_diagonal(3)
+    assert not insoluble.soluble and insoluble.solutions == []
     with pytest.raises(IndexOutOfRange):
         worst_case_diagonal(3, solution_index=8)
     with pytest.raises(IndexOutOfRange):
@@ -193,8 +187,3 @@ def test_random_instance_is_reproducible():
     assert a == b
     for clause in a.clauses:
         assert len({abs(lit) for lit in clause}) == 3
-
-
-def test_diagonal_csv_header_and_rows():
-    text = diagonal_csv(ViolationDiagonal(np.array([0, 2])))
-    assert text.splitlines() == ["index,violations", "0,0", "1,2"]
