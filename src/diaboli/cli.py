@@ -98,14 +98,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
+
+
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -198,12 +208,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--sweep", choices=("x", "z"), required=True)
     p.add_argument("--fixed", type=_finite_float, required=True, help="value of the non-swept parameter")
     p.add_argument("--range", required=True, help="sweep range, lo:hi")
-    p.add_argument("--samples", type=_positive_int, default=101)
+    p.add_argument("--samples", type=_int_at_least(1), default=101)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("berry", help="transport the ground state around the standard loop")
     add_common(p)
-    p.add_argument("--samples-per-edge", type=_positive_int, default=DEFAULT_SAMPLES_PER_EDGE)
+    p.add_argument("--samples-per-edge", type=_int_at_least(1), default=DEFAULT_SAMPLES_PER_EDGE)
     p.add_argument("--transport-csv", default=None, help="also write the per-step transport log")
     p.set_defaults(func=_cmd_berry)
 
@@ -214,9 +224,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("evolve", help="time evolution once around the loop")
     add_common(p)
-    p.add_argument("--time", type=float, required=True, help="total traversal time")
+    p.add_argument("--time", type=_positive_float, required=True, help="total traversal time")
     p.add_argument("--profile", choices=("uniform", "adaptive"), default="adaptive")
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--steps", type=_int_at_least(100), default=2000)
     p.add_argument("--summary", default=None, help="summary JSON file (default: stdout)")
     p.set_defaults(func=_cmd_evolve)
 

@@ -12,13 +12,21 @@ above the largest.  A body value repeated k times additionally yields
 k - 1 eigenvalues equal to that value exactly (deflation): only the
 uniform combination of the repeated states couples to the head.
 
-Each root is bracketed by its interlacing interval, narrowed by a fixed
-number of bisections and finished by safeguarded Newton steps; a root
-that misses tolerance when the step budget runs out raises
-``ConvergenceFailure``.  The ground eigenvector follows in closed form
-from the root:
+Each root is solved as an offset from an origin, as LAPACK's ``dlaed4``
+does (R.-C. Li, LAPACK Working Note 89, 1993).  One evaluation at the
+middle of the root's interlacing interval picks the half that holds it,
+and the pole at that end becomes the origin; the leftmost root keeps
+origin 0 when it lies nearer 0 than a positive first pole.  Rational
+steps then keep the nearest pole's term exactly, model the rest of the
+secular function by its tangent, and fall back to halving the bracket
+when they leave it, until a step is within a few ulps of the offset; a
+root still open when the step budget runs out raises
+``ConvergenceFailure``.  Differences between poles are exact, so the
+distance from the root ``lam0 = sigma + tau`` to each body value keeps
+its relative accuracy however close the root lies to a pole, and the
+ground eigenvector follows in closed form:
 
-    v[i] = b / (lam0 - d[i]),   v[head] = 1,   then normalize.
+    v[i] = b / (tau - (d[i] - sigma)),   v[head] = 1,   then normalize.
 
 ``lowest_levels`` serves the loop transport, gap scans and evolution
 schedules: it groups a violation diagonal once by its exact histogram
@@ -47,9 +55,12 @@ from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this mo
 from .instance import ViolationDiagonal
 
 DEFLATION_RTOL = 1e-13  # body values closer than this (relative) share a group
-_BISECT_ITER = 14  # bracket halvings before switching to Newton
-_NEWTON_ITER = 44  # polish cap; rejected steps degrade to further halvings
-_BUDGET_SLACK = 4.0 * np.finfo(np.float64).eps  # accepted residual step when the cap is hit
+_STEP_BUDGET = 64  # secular evaluations per root; a rejected step becomes a halving
+_STOP_ULPS = 4.0 * np.finfo(np.float64).eps  # a step this small relative to the offset ends a root
+# A border whose square is below the normal range couples nothing at double
+# precision (each root lies within the subnormal range of its pole), so such
+# points take the diagonal branch.
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(eq=False)
@@ -78,57 +89,6 @@ def _group_body(body: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d[starts], counts.astype(np.int64)
 
 
-def _bracketed_roots(secular, slope, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Root of a decreasing secular function inside each bracket ``(lo, hi)``.
-
-    ``secular`` and ``slope`` map an array of abscissae shaped like ``lo``
-    to the function values and derivatives there.
-    """
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_BISECT_ITER):
-            mid = 0.5 * (lo + hi)
-            positive = secular(mid) > 0  # NaN at an exact pole lands on the safe side
-            lo = np.where(positive, mid, lo)
-            hi = np.where(positive, hi, mid)
-
-    # Newton finishes the job: f is strictly decreasing between poles, so
-    # f > 0 always means the root lies to the right, and a step that
-    # escapes its bracket is replaced by another halving.  A root is done
-    # when the Newton correction itself (a direct estimate of the distance
-    # to the root) or its bracket falls below machine tolerance.
-    lam = 0.5 * (lo + hi)
-    active = np.ones(lam.shape, dtype=bool)
-    corr = np.full(lam.shape, np.inf)
-    for _ in range(_NEWTON_ITER):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            flam = secular(lam)
-            corr = flam / slope(lam)
-            step = lam - corr
-        positive = flam > 0
-        lo = np.where(positive, lam, lo)
-        hi = np.where(positive, hi, lam)
-        tol = 2e-16 * np.maximum(1.0, np.abs(lam))
-        active &= ~((np.abs(corr) <= tol) | ((hi - lo) <= tol))
-        if not np.any(active):
-            break
-        inside = np.isfinite(step) & (step > lo) & (step < hi)
-        lam = np.where(active, np.where(inside, step, 0.5 * (lo + hi)), lam)
-    else:
-        # The stop test sits just under one ulp, so a root can end its
-        # budget oscillating at machine precision; that is converged.
-        loose = _BUDGET_SLACK * np.maximum(1.0, np.abs(lam))
-        stuck = active & ~((np.abs(corr) <= loose) | ((hi - lo) <= loose))
-        if np.any(stuck):
-            raise ConvergenceFailure(
-                f"{int(np.count_nonzero(stuck))} secular root(s) missed tolerance after "
-                f"{_NEWTON_ITER} Newton steps"
-            )
-    if not np.all(np.isfinite(lam)):
-        raise ConvergenceFailure("secular root search produced non-finite values")
-    return lam
-
-
 def eigen_arrowhead(ham: ArrowheadHamiltonian) -> Spectrum:
     """Full spectrum of one arrowhead matrix, ascending.
 
@@ -138,14 +98,15 @@ def eigen_arrowhead(ham: ArrowheadHamiltonian) -> Spectrum:
     """
 
     body = ham.body_diag
-    if ham.border == 0.0:
+    if ham.border * ham.border < _TINY:
         full = np.append(body, ham.head_diag)
         return Spectrum(eigenvalues=full[np.argsort(full, kind="stable")])
 
     values, counts = _group_body(body)
-    roots = _leftmost_roots(
+    origin, offset = _leftmost_roots(
         values, counts, body.size, np.array([ham.border]), np.array([ham.head_diag]), values.size + 1
-    )[0]
+    )
+    roots = (origin + offset)[0]
     deflated = np.repeat(values, counts - 1)
     return Spectrum(eigenvalues=np.sort(np.concatenate((roots, deflated))))
 
@@ -170,36 +131,131 @@ def eigen_dense(ham: ArrowheadHamiltonian, want_ground_vector: bool = True) -> S
 
 def _leftmost_roots(
     poles: np.ndarray, k: np.ndarray, size: int, border: np.ndarray, head: np.ndarray, count: int
-) -> np.ndarray:
-    """The ``count`` leftmost secular roots at every point, shape ``(points, count)``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` leftmost secular roots at every point, as ``origin + offset``.
 
     ``poles`` are the distinct body levels (ascending) of multiplicity
-    ``k``, ``size`` is ``sum(k)``, and each point has its own nonzero
-    ``border`` and head level ``head``.  The violation-diagonal callers
-    work in the frame ``mu = lam - z/4``, where the poles ``s * u_g`` do
-    not move with the point.  Root ``j`` lies between poles ``j - 1`` and
+    ``k``, ``size`` is ``sum(k)``, and each point has its own border with
+    ``border**2 > 0`` and head level ``head``.  The violation-diagonal
+    callers work in the frame ``mu = lam - z/4``, where the poles ``s * u_g``
+    do not move with the point.  Root ``j`` lies between poles ``j - 1`` and
     ``j``, so ``count = G + 1`` gives all the non-deflated levels.
+
+    Both results are shaped ``(points, count)``.  ``origin`` is the bracket
+    pole nearer the root, or 0 for a leftmost root nearer 0 than a positive
+    ``poles[0]``; ``offset`` is the root minus its origin, solved to a few
+    ulps of itself, so ``poles - origin - offset`` keeps its relative
+    accuracy however close the root sits to a pole.
     """
 
-    g = poles.size
-    w2 = (border * border)[:, None] * k[None, :]
+    points, g = border.size, poles.size
+    j = np.arange(count)
+    near_left, near_right = np.maximum(j - 1, 0), np.minimum(j, g - 1)
+    origin_left, origin_right = poles[near_left], poles[near_right]
     total = math.sqrt(size) * np.abs(border) + 1.0
-    lo = np.empty((border.size, count))
-    hi = np.empty((border.size, count))
-    lo[:, 0] = np.minimum(poles[0], head) - total
-    lo[:, 1:] = poles[: count - 1]
-    hi[:, :g] = poles[:count]
+    lo = np.repeat(origin_left[:, None], points, axis=1)
+    hi = np.repeat(origin_right[:, None], points, axis=1)
+    lo[0] = np.minimum(poles[0], head) - total
     if count > g:
-        hi[:, g] = np.maximum(poles[-1], head) + total
+        hi[g] = np.maximum(poles[-1], head) + total
+    split = 0.5 * (lo + hi)
+    if poles[0] > 0.0:
+        # The leftmost root keeps origin 0 when it lies nearer 0 than poles[0].
+        origin_left[0] = 0.0
+        split[0] = 0.5 * poles[0]
 
-    def secular(mu: np.ndarray) -> np.ndarray:
-        return (head[:, None] - mu) - np.sum(w2[:, None, :] / (poles - mu[..., None]), axis=-1)
+    # One row per root, root-major, so that neighbouring rows are
+    # neighbouring points and take the same branches; sums over the poles
+    # run down axis 0.
+    rows = points * count
+    lo, hi, split = lo.reshape(-1), hi.reshape(-1), split.reshape(-1)
+    head = np.tile(head, count)
+    weight = np.tile(k[:, None] * (border * border), count)  # (G, rows)
 
-    def slope(mu: np.ndarray) -> np.ndarray:
-        d = poles - mu[..., None]
-        return -1.0 - np.sum(w2[:, None, :] / (d * d), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # One evaluation at the split point picks each root's half of its
+        # bracket, and with it the origin: the pole at that end of the bracket.
+        dist = poles[:, None] - split
+        terms = weight / dist
+        value = head - split - terms.sum(axis=0)
+        right = value > 0  # f decreases, so the root lies right of the split
+        near = np.where(right, np.repeat(near_right, points), np.repeat(near_left, points))
+        origin = np.where(right, np.repeat(origin_right, points), np.repeat(origin_left, points))
+        lo, hi, tau = lo - origin, hi - origin, split - origin
+        picked = near, np.arange(rows)
+        near_weight = weight[picked]
+        near_pole = poles[near] - origin  # 0, or poles[0] for a root kept at origin 0
+        side = np.copysign(1.0, near_pole - tau)  # +1 when the near pole lies right of the root
+        # The shifted poles are exact pole differences.  The near pole's own
+        # term is kept apart, so the rest of the sum never cancels against it.
+        shifted = poles[:, None] - origin
+        shifted[picked] = np.inf
+        level = head - origin
+        at_pole = near_pole == 0.0
+        # Offsets are solved relative to themselves, except near 0 for a root
+        # kept at origin 0 (its f is known only to about eps * |head - origin|),
+        # and never more finely than the smallest normal float.
+        floor = np.maximum(np.where(at_pole, 0.0, np.abs(level)), _TINY)
+        rest = value + terms[picked]
+        slope = 1.0 + (terms / dist).sum(axis=0) - terms[picked] / dist[picked]
 
-    return _bracketed_roots(secular, slope, lo, hi)
+        offset = np.empty(rows)
+        work = np.arange(rows)
+        active = np.ones(rows, dtype=bool)
+        for _ in range(_STEP_BUDGET):
+            # f(tau) = rest - near_weight / (near_pole - tau), where rest is
+            # everything else: the head level, -tau and the far poles.
+            gap = near_pole - tau
+            value = rest - near_weight / gap
+            positive = value > 0
+            lo = np.where(positive, tau, lo)
+            hi = np.where(positive, hi, tau)
+            # Rational step: keep the near pole's term exactly and model the
+            # rest by its tangent.  The new distance to the near pole solves
+            # a quadratic, and so does the increment, a multiple of f; each
+            # form is written without cancellation.  The increment is taken
+            # unless the origin is the near pole and the step at least halves
+            # the offset: then the new distance is the new offset itself,
+            # which keeps its relative accuracy however close it lies.
+            span = side * gap
+            lean = side * rest
+            below = lean - slope * span
+            above = lean + slope * span
+            root = np.sqrt(below * below + 4.0 * slope * near_weight)
+            twice = 2.0 * slope
+            step = tau + np.where(above > 0, 2.0 * span * value / (above + root), side * (above - root) / twice)
+            jump = -side * np.where(below > 0, 2.0 * near_weight / (root + below), (root - below) / twice)
+            step = np.where(at_pole & (np.abs(jump) <= 0.5 * np.abs(tau)), jump, step)
+            # A root is done when its step or its whole bracket is within a
+            # few ulps of the offset; with the floor, adjacent floats are.
+            tol = _STOP_ULPS * np.maximum(np.abs(tau), floor)
+            finished = (np.abs(step - tau) <= tol) | (hi - lo <= tol)
+            inside = (lo < step) & (step < hi)
+            tau = np.where(inside, step, np.where(finished, tau, 0.5 * (lo + hi)))
+            done = active & finished
+            offset[work[done]] = tau[done]
+            active &= ~finished
+            live = np.count_nonzero(active)
+            if live == 0:
+                break
+            if live < active.size // 2:
+                (work, tau, lo, hi, level, floor, side, at_pole, near_weight, near_pole, shifted, weight) = (
+                    a[..., active]
+                    for a in (work, tau, lo, hi, level, floor, side, at_pole, near_weight, near_pole, shifted, weight)
+                )
+                active = np.ones(live, dtype=bool)
+            dist = shifted - tau
+            terms = weight / dist
+            rest = level - tau - terms.sum(axis=0)
+            slope = 1.0 + (terms / dist).sum(axis=0)
+        else:
+            raise ConvergenceFailure(
+                f"{int(np.count_nonzero(active))} secular root(s) missed tolerance after "
+                f"{_STEP_BUDGET} steps"
+            )
+    if not np.all(np.isfinite(offset)):
+        raise ConvergenceFailure("secular root search produced non-finite values")
+    return origin.reshape(count, points).T, offset.reshape(count, points).T
 
 
 def _flat_points(x, z) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +294,8 @@ def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.nd
     In the frame ``mu = lam - z/4`` the poles ``s * u_g`` do not move with
     the point, and only the two leftmost secular roots are solved, for all
     points at once; a repeated lowest count ``k_0 > 1`` pins ``e1`` to its
-    body value, which leaves one root.  Points with ``x = 0`` follow
+    body value, which leaves one root.  Points with ``x = 0``, or with a
+    border whose square is below the normal range, follow
     ``eigen_arrowhead``'s diagonal branch, with the lowest body group's
     vector made uniform.
     """
@@ -258,7 +315,7 @@ def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.nd
     amplitudes = np.zeros((x.size, poles.size))
     head = np.zeros(x.size)
 
-    flat = border == 0.0
+    flat = border * border < _TINY
     if np.any(flat):
         q = quarter[flat]
         body0 = q + poles[0]
@@ -276,20 +333,23 @@ def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.nd
         b = border[live]
         q = quarter[live]
         # A repeated lowest count pins e1 to its body level; only e0 needs solving.
-        roots = _leftmost_roots(poles, k, diag.dimension, b, -2.0 * q, 1 if repeated else 2)
-        mu0 = roots[:, 0]
-        mu0 = np.where(mu0 >= poles[0], np.nextafter(mu0, -np.inf), mu0)
-        mu1 = poles[0] if repeated else roots[:, 1]
-        e0[live] = q + mu0
-        e1[live] = q + mu1
-        gap[live] = mu1 - mu0
-        with np.errstate(over="ignore"):
-            a = b[:, None] / (mu0[:, None] - poles)
-            norm = np.sqrt((a * a) @ k + 1.0)
-        if not np.all(np.isfinite(norm)):
-            raise ConvergenceFailure("ground vector overflowed; root too close to a pole")
+        origin, offset = _leftmost_roots(poles, k, diag.dimension, b, -2.0 * q, 1 if repeated else 2)
+        s0, t0 = origin[:, 0], offset[:, 0]
+        e0[live] = q + (s0 + t0)
+        if repeated:
+            e1[live] = q + poles[0]
+            gap[live] = (poles[0] - s0) - t0
+        else:
+            e1[live] = q + (origin[:, 1] + offset[:, 1])
+            gap[live] = (origin[:, 1] - s0) + (offset[:, 1] - t0)
+        # mu0 - u_g = offset - (u_g - origin), and pole differences are exact.
+        a = b[:, None] / (t0[:, None] - (poles - s0[:, None]))
+        scale = np.maximum(1.0, np.max(np.abs(a), axis=1))  # a near pole can make a*a overflow
+        a /= scale[:, None]
+        h = 1.0 / scale
+        norm = np.sqrt((a * a) @ k + h * h)
         amplitudes[live] = a / norm[:, None]
-        head[live] = 1.0 / norm
+        head[live] = h / norm
     return LowestLevels(e0=e0, e1=e1, gap=gap, amplitudes=amplitudes, head=head)
 
 
@@ -334,9 +394,10 @@ def all_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarr
 
     All ``G + 1`` secular roots of every point are solved together by the
     batched solve behind ``lowest_levels``; the other eigenvalues are the
-    body levels repeated ``k_g - 1`` times.  At ``x = 0`` the sector is
-    diagonal and its roots are its sorted diagonal, as in
-    ``eigen_arrowhead``'s diagonal branch.
+    body levels repeated ``k_g - 1`` times.  At ``x = 0`` (or a border
+    whose square is below the normal range) the sector is diagonal and its
+    roots are its sorted diagonal, as in ``eigen_arrowhead``'s diagonal
+    branch.
     """
 
     x, z = _flat_points(x, z)
@@ -347,15 +408,15 @@ def all_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarr
     border = x / divisor
     levels = quarter + poles
     roots = np.empty((x.size, poles.size + 1))
-    flat = border == 0.0
+    flat = border * border < _TINY
     roots[flat] = np.sort(np.concatenate((levels[flat], -quarter[flat]), axis=1), axis=1)
     live = ~flat
     if np.any(live):
-        mu = _leftmost_roots(
+        origin, offset = _leftmost_roots(
             poles, hist.counts.astype(np.float64), diag.dimension, border[live],
             -2.0 * quarter[live, 0], poles.size + 1,
         )
-        roots[live] = quarter[live] + mu
+        roots[live] = quarter[live] + (origin + offset)
     return AllLevels(roots=roots, levels=levels, counts=hist.counts)
 
 

@@ -19,6 +19,7 @@ from diaboli import (
     worst_case_diagonal,
 )
 from diaboli.cli import main
+from diaboli.hamiltonian import variant_scales
 
 CNF = """c single soluble clause
 p cnf 3 1
@@ -108,6 +109,49 @@ def test_spectrum_csv_matches_per_point_solves(tmp_path, capsys, variant):
                     assert got[-1] == got[1] - got[0]
 
 
+def sector_spectrum(diag, variant: str, x: float, z: float) -> np.ndarray:
+    """Oracle: eigvalsh of the (G+1)-dim symmetric-sector matrix, plus each body level k_g - 1 times."""
+
+    factor, divisor = variant_scales(variant, diag.dimension)
+    hist = diag.histogram
+    body = z / 4.0 + factor * hist.values.astype(np.float64)
+    sector = np.diag(np.append(body, -z / 4.0))
+    sector[:-1, -1] = sector[-1, :-1] = (x / divisor) * np.sqrt(hist.counts)
+    return np.sort(np.concatenate((np.linalg.eigvalsh(sector), np.repeat(body, hist.counts - 1))))
+
+
+@pytest.mark.parametrize(
+    "n, argv",
+    [
+        (12, ["predict-gap", "--z", "0.5"]),
+        (10, ["predict-gap", "--z", "1"]),
+        (10, ["spectrum", "--sweep", "x", "--fixed", "0.5", "--range", "0:1e-8"]),
+        # 5 samples keep the 65537-column CSV small; z = -1 and 1 alone failed before.
+        (16, ["spectrum", "--sweep", "z", "--fixed", "1e-6", "--range=-1:1", "--samples", "5"]),
+    ],
+    ids=["gap-n12-z0.5", "gap-n10-z1", "sweep-x-n10", "sweep-z-n16"],
+)
+def test_scaled_hamiltonian_roots_converge(tmp_path, n, argv):
+    """Roots a hair from the z_scaled poles N*u_g once ended in ConvergenceFailure."""
+
+    out = tmp_path / "out"
+    command, options = argv[0], argv[1:]
+    assert main([command, f"wc:n={n},sol=0", "--variant", "z_scaled", *options, "--out", str(out)]) == 0
+    diag = worst_case_diagonal(n, solution_index=0)
+    if command == "predict-gap":
+        report = json.loads(out.read_text())
+        want = sector_spectrum(diag, "z_scaled", report["x_gap_numeric"], report["z"])
+        assert report["gap_numeric"] == pytest.approx(want[1] - want[0], rel=1e-12, abs=1e-12)
+        return
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == (5 if "--samples" in options else 101)
+    for line in lines:
+        cells = np.array(line.split(","), dtype=np.float64)
+        want = sector_spectrum(diag, "z_scaled", cells[0], cells[1])
+        radius = float(np.max(np.abs(want)))
+        np.testing.assert_allclose(cells[2:-1], want, rtol=1e-12, atol=1e-12 * radius)
+
+
 def test_seed_flag_is_gone(capsys):
     argv = ["spectrum", "wc:n=3,sol=0", "--sweep", "x", "--fixed", "-1", "--range", "0:0.2"]
     assert main(argv) == 0
@@ -121,6 +165,7 @@ def test_selftest_is_gone(capsys):
 
 
 SPECTRUM = ["spectrum", "wc:n=3,sol=0", "--sweep", "x"]
+EVOLVE = ["evolve", "wc:n=3,sol=0"]
 
 
 @pytest.mark.parametrize(
@@ -132,8 +177,16 @@ SPECTRUM = ["spectrum", "wc:n=3,sol=0", "--sweep", "x"]
         SPECTRUM + ["--fixed", "nan", "--range", "0:0.2"],
         ["predict-gap", "wc:n=3,sol=0", "--z", "nan"],
         SPECTRUM + ["--fixed", "-1", "--range", "0:inf"],
+        EVOLVE + ["--time", "nan"],
+        EVOLVE + ["--time", "inf"],
+        EVOLVE + ["--time", "-1"],
+        EVOLVE + ["--time", "100", "--steps", "0"],
+        EVOLVE + ["--time", "100", "--steps", "99"],
     ],
-    ids=["samples-per-edge-0", "samples-negative", "samples-0", "fixed-nan", "z-nan", "range-inf"],
+    ids=[
+        "samples-per-edge-0", "samples-negative", "samples-0", "fixed-nan", "z-nan", "range-inf",
+        "time-nan", "time-inf", "time-negative", "steps-0", "steps-99",
+    ],
 )
 def test_bad_numbers_are_usage_errors(capsys, argv):
     assert main(argv) == 1

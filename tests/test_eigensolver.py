@@ -1,5 +1,7 @@
 """Secular-equation eigensolver against dense diagonalization."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from diaboli import (
     min_gap_on_segment,
     worst_case_diagonal,
 )
+from diaboli.hamiltonian import variant_scales
 
 
 def dense_reference(ham: ArrowheadHamiltonian) -> np.ndarray:
@@ -97,7 +100,7 @@ def test_interlacing_and_trace():
 def test_exhausted_newton_budget_raises(monkeypatch):
     ham = random_arrowhead(np.random.default_rng(5), 65)
     diag = worst_case_diagonal(5, solution_index=3)
-    monkeypatch.setattr(eigensolver, "_NEWTON_ITER", 1)
+    monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 1)
     with pytest.raises(ConvergenceFailure, match="missed tolerance"):
         eigen_arrowhead(ham)
     with pytest.raises(ConvergenceFailure, match="missed tolerance"):
@@ -190,3 +193,107 @@ def test_all_levels_match_dense_at_random_points(variant):
             assert np.array_equal(levels.level(index), spectra[:, index])
         with pytest.raises(IndexError):
             levels.level(2**n + 1)
+
+
+def mp_secular_root(mp, poles, k, b, head, j, start):
+    """Root j of head - mu - sum(b^2 k / (poles - mu)) by safeguarded Newton in mpmath.
+
+    The bracket is root j's interlacing interval, where the root is unique,
+    so ``start`` (the float answer) only speeds the search up.
+    """
+
+    w = [b * b * kk for kk in k]
+    total = mp.sqrt(sum(k)) * abs(b) + 1
+    lo = min(poles[0], head) - total if j == 0 else poles[j - 1]
+    hi = max(poles[-1], head) + total if j == len(poles) else poles[j]
+    origin = min(poles, key=lambda p: abs(p - start))  # work relative to the nearest pole
+    lo, hi, tau = lo - origin, hi - origin, mp.mpf(start) - origin
+    shifted = [p - origin for p in poles]
+    tiny = mp.mpf(10) ** (5 - mp.mp.dps)
+    for _ in range(500):
+        if not lo < tau < hi:
+            tau = (lo + hi) / 2
+        terms = [wi / (d - tau) for wi, d in zip(w, shifted)]
+        value = head - origin - tau - sum(terms)
+        if value > 0:
+            lo = tau
+        else:
+            hi = tau
+        step = value / (1 + sum(t / (d - tau) for t, d in zip(terms, shifted)))
+        if lo <= tau + step <= hi and abs(step) <= tiny * abs(tau + step):
+            return origin + tau + step
+        tau += step
+    raise AssertionError("mpmath reference did not converge")
+
+
+@pytest.fixture
+def mp():
+    """mpmath at 50 digits, restored afterwards."""
+
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        yield mpmath
+
+
+def test_levels_match_mpmath_at_50_digits(mp):
+    """Gap, e0, ground vector and every root to 1e-13 relative, down to x = 1e-12.
+
+    Roots then sit within ~1e-24 of a pole, and z = 0 or +-1 puts the head
+    level on or next to a body level.
+    """
+
+    def close(got, want, scale=None):
+        return abs(got - want) <= 1e-13 * (abs(want) if scale is None else scale)
+
+    rng = np.random.default_rng(4242)
+    checked = 0
+    for n in range(1, 17):
+        entries = rng.integers(0, 5, size=2**n)
+        entries[entries == 0] = rng.integers(0, 2)  # soluble or not
+        planted = worst_case_diagonal(n, int(rng.integers(2**n)))
+        for diag, variant in itertools.product(
+            (planted, worst_case_diagonal(n, None), ViolationDiagonal(entries)), VARIANTS
+        ):
+            factor, divisor = variant_scales(variant, diag.dimension)
+            poles = [mp.mpf(factor * float(u)) for u in diag.histogram.values]
+            k = [int(c) for c in diag.histogram.counts]
+            xs = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-12.0, 0.3, 3)
+            zs = rng.choice([0.0, 1e-9, -1.0, 1.0, -1.0 + 1e-9, 1.0 - 1e-9], 3)
+            zs += rng.choice([0.0, 1.0], 3) * rng.normal(0.0, 0.3, 3)
+            low = lowest_levels(diag, variant, xs, zs)
+            every = all_levels(diag, variant, xs, zs)
+            for p, (x, z) in enumerate(zip(xs.tolist(), zs.tolist())):
+                b, q = mp.mpf(x / divisor), mp.mpf(z / 4.0)
+                mus = [
+                    mp_secular_root(mp, poles, k, b, -2 * q, j, every.roots[p, j] - z / 4.0)
+                    for j in range(len(poles) + 1)
+                ]
+                mu1 = poles[0] if k[0] > 1 else mus[1]
+                amplitudes = [b / (mus[0] - pole) for pole in poles]
+                norm = mp.sqrt(sum(kk * a * a for kk, a in zip(k, amplitudes)) + 1)
+                # e0 and the roots add z/4 to a secular root: held to the larger of |z/4| and themselves
+                assert close(low.e0[p], q + mus[0], max(abs(q + mus[0]), abs(q)))
+                assert close(low.gap[p], mu1 - mus[0])
+                assert close(low.head[p], 1 / norm)
+                for got, a in zip(low.amplitudes[p].tolist(), amplitudes):
+                    assert close(got, a / norm)
+                for got, mu in zip(every.roots[p].tolist(), mus):
+                    assert close(got, q + mu, max(abs(q + mu), abs(q)))
+                checked += 1
+    assert checked == 16 * 3 * 3 * 3
+
+
+def test_ground_vector_next_to_a_pole_stays_normalized(mp):
+    """x = 1e-140 at z = -1e15: the root sits ~2e-295 below the solution's level, and the
+    amplitude there is ~h/b = 5e154 before normalization, whose square overflows."""
+
+    x, z = 1e-140, -1e15
+    levels = lowest_levels(worst_case_diagonal(3, solution_index=0), "unscaled", [x], [z])
+    poles, k = [mp.mpf(0), mp.mpf(1)], [1, 7]
+    b, q = mp.mpf(x), mp.mpf(z / 4.0)
+    mu0 = mp_secular_root(mp, poles, k, b, -2 * q, 0, b * b / (2 * q))  # first order in b
+    amplitudes = [b / (mu0 - pole) for pole in poles]
+    norm = mp.sqrt(sum(kk * a * a for kk, a in zip(k, amplitudes)) + 1)
+    assert abs(levels.head[0] - 1 / norm) <= 1e-13 / norm  # about 2e-155
+    for got, a in zip(levels.amplitudes[0].tolist(), amplitudes):
+        assert abs(got - a / norm) <= 1e-13 * abs(a / norm)
