@@ -15,7 +15,10 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -118,11 +121,20 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """Standard output, or the file ``out`` opened for writing."""
+
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as stream:
+            yield stream
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as stream:
+        stream.write(text)
 
 
 def _json_text(payload: dict) -> str:
@@ -138,13 +150,15 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     levels = all_levels(diag, args.variant, xs, zs)
     runs, repeats = levels.runs()
     gaps = levels.level(1) - levels.level(0)
-    rows = []
-    for x, z, row, gap in zip(xs.tolist(), zs.tolist(), runs.tolist(), gaps.tolist()):
-        # Each distinct value is formatted once; a deflated body level repeats its string.
-        eigs = ",".join(",".join([f"{e:.17g}"] * r) for e, r in zip(row, repeats.tolist()) if r)
-        rows.append(f"{x:.17g},{z:.17g},{eigs},{gap:.17g}")
     names = ",".join(f"e{i}" for i in range(diag.dimension + 1))
-    _emit("x,z," + names + ",gap01\n" + "\n".join(rows) + "\n", args.out)
+    # Rows are written as they are formatted: at n = 16 each is about 1 MB.
+    counts = repeats.tolist()
+    with _output(args.out) as stream:
+        stream.write("x,z," + names + ",gap01\n")
+        for x, z, row, gap in zip(xs.tolist(), zs.tolist(), runs.tolist(), gaps.tolist()):
+            # Each distinct value is formatted once; a deflated body level repeats its string.
+            eigs = ",".join(",".join([f"{e:.17g}"] * r) for e, r in zip(row, counts) if r)
+            stream.write(f"{x:.17g},{z:.17g},{eigs},{gap:.17g}\n")
     return 0
 
 

@@ -15,13 +15,16 @@ the head amplitude (see ``lowest_levels``), so an overlap is the short sum
 ``sum_g k_g a_g a'_g + h h'`` whatever the size of the diagonal.  All loop
 samples are solved in one batch; segments whose endpoint vectors overlap
 weakly are then bisected level by level, each level's midpoints again in
-one batch, so the transport never jumps across an avoided crossing.
+one batch, so the transport never jumps across an avoided crossing.  The
+segments stay in walk order throughout, held as arrays of end points,
+depths and overlaps, and each split writes its two halves in its place.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,12 +52,11 @@ _DEFAULT_WAYPOINTS = (
 
 
 def _segment_hits_origin(a: ParameterPoint, b: ParameterPoint) -> bool:
-    cross = a.x * b.z - a.z * b.x
-    if cross != 0.0:
-        return False
-    if min(a.x, b.x) <= 0.0 <= max(a.x, b.x) and min(a.z, b.z) <= 0.0 <= max(a.z, b.z):
-        return True
-    return False
+    return (
+        a.x * b.z - a.z * b.x == 0.0
+        and min(a.x, b.x) <= 0.0 <= max(a.x, b.x)
+        and min(a.z, b.z) <= 0.0 <= max(a.z, b.z)
+    )
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,7 @@ class LoopPath:
 
     waypoints: tuple[ParameterPoint, ...]
     samples_per_edge: int = DEFAULT_SAMPLES_PER_EDGE
+    _samples: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple(
@@ -76,9 +79,22 @@ class LoopPath:
         for a, b in zip(pts, pts[1:]):
             if _segment_hits_origin(a, b):
                 raise ValueError("loop passes through (0, 0), where the spectrum can touch")
-        if self.samples_per_edge < 1:
-            raise ValueError("samples_per_edge must be at least 1")
+        s = self.samples_per_edge
+        if not isinstance(s, numbers.Integral) or s < 1:
+            raise ValueError(f"samples_per_edge must be an integer of at least 1, not {s!r}")
         object.__setattr__(self, "waypoints", pts)
+        j = np.arange(1, s + 1)
+        xs, zs = [np.array([pts[0].x])], [np.array([pts[0].z])]
+        for a, b in zip(pts, pts[1:]):
+            t = j / s
+            if a.x != b.x:
+                t = np.where((j < s) & (a.x + (b.x - a.x) * t == 0.0), (j + 0.5) / s, t)
+            xs.append(a.x + (b.x - a.x) * t)
+            zs.append(a.z + (b.z - a.z) * t)
+        samples = np.concatenate(xs), np.concatenate(zs)
+        for axis in samples:
+            axis.flags.writeable = False
+        object.__setattr__(self, "_samples", samples)
 
     @classmethod
     def default_rectangle(cls, samples_per_edge: int = DEFAULT_SAMPLES_PER_EDGE) -> "LoopPath":
@@ -87,6 +103,7 @@ class LoopPath:
     def sample_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Uniform samples along each edge, waypoints included, as x and z arrays.
 
+        They are computed once, when the path is built, and are read-only.
         An interior sample landing exactly on x = 0 is displaced half a
         grid step along its edge: the border coupling vanishes on that
         axis and a purely diagonal matrix with a repeated minimum would
@@ -94,22 +111,15 @@ class LoopPath:
         the axis continuously.  Edges lying on the axis are left alone.
         """
 
-        s = self.samples_per_edge
-        j = np.arange(1, s + 1)
-        xs = [np.array([self.waypoints[0].x])]
-        zs = [np.array([self.waypoints[0].z])]
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
-            t = j / s
-            if a.x != b.x:
-                t = np.where((j < s) & (a.x + (b.x - a.x) * t == 0.0), (j + 0.5) / s, t)
-            xs.append(a.x + (b.x - a.x) * t)
-            zs.append(a.z + (b.z - a.z) * t)
-        return np.concatenate(xs), np.concatenate(zs)
+        return self._samples
 
     def sample_points(self) -> list[ParameterPoint]:
         """``sample_coordinates`` as a list of points."""
 
         return [ParameterPoint(x, z) for x, z in zip(*self.sample_coordinates())]
+
+
+_DEFAULT_LOOP = LoopPath.default_rectangle()
 
 
 @dataclass(frozen=True)
@@ -150,13 +160,7 @@ class BerryResult:
 
 
 class _Points:
-    """Every point solved on one loop, in order of solving.
-
-    ``place`` holds ``(edge, position, depth)`` per point, the place at
-    which a walk along the loop would solve it: loop sample ``j`` at
-    ``(j - 1, -1, 0)``, a midpoint at the place of the segment it splits
-    (see ``berry_phase``).  Sorting places gives walk order.
-    """
+    """Every point solved on one loop, in order of solving."""
 
     def __init__(self, diag: ViolationDiagonal, variant: str) -> None:
         self.diag = diag
@@ -164,9 +168,8 @@ class _Points:
         self.weights = diag.histogram.counts.astype(np.float64)
         self.x = self.z = self.e0 = self.e1 = self.gap = self.head = np.empty(0)
         self.amplitudes = np.empty((0, self.weights.size))
-        self.place = np.empty((0, 3), dtype=np.int64)
 
-    def add(self, x: np.ndarray, z: np.ndarray, place: np.ndarray) -> np.ndarray:
+    def add(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Solve a batch of points and return their indices."""
 
         levels = lowest_levels(self.diag, self.variant, x, z)
@@ -178,23 +181,10 @@ class _Points:
         self.gap = np.concatenate((self.gap, levels.gap))
         self.amplitudes = np.concatenate((self.amplitudes, levels.amplitudes))
         self.head = np.concatenate((self.head, levels.head))
-        self.place = np.concatenate((self.place, place))
         return np.arange(first, self.x.size)
 
     def overlap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (self.amplitudes[a] * self.amplitudes[b]) @ self.weights + self.head[a] * self.head[b]
-
-
-def _place(edge: np.ndarray, code: np.ndarray, depth: int, top: int) -> np.ndarray:
-    """Walk-order places of segments: in its edge's bisection tree, code
-    ``c`` at ``depth`` has children ``2c`` and ``2c + 1``, and its position
-    ``c << (top - depth)`` puts it after its parent and before its children."""
-
-    return np.stack((edge, code << (top - depth), np.full(edge.size, depth)), axis=1)
-
-
-def _walk_order(place: np.ndarray) -> np.ndarray:
-    return np.lexsort(place.T[::-1])
 
 
 def berry_phase(
@@ -206,58 +196,66 @@ def berry_phase(
 ) -> BerryResult:
     """Transport the ground vector around a closed loop and read off the sign.
 
-    All loop samples are solved in one batch.  Then, level by level, every
-    segment whose endpoint vectors overlap by less than ``REFINE_TRIGGER``
-    in magnitude is split at its midpoint, below ``MAX_REFINE_DEPTH``, and
-    the midpoints of a level are solved in one batch.  Whether a segment
+    The segments of the walk are kept in walk order as four arrays: end
+    point indices ``left`` and ``right``, bisection ``depth`` and endpoint
+    ``overlap``.  They start as the steps between loop samples, all solved
+    in one batch.  Then, level by level, every segment whose endpoint
+    vectors overlap by less than ``REFINE_TRIGGER`` in magnitude, below
+    ``MAX_REFINE_DEPTH`` and away from degenerate points, is replaced in
+    place by its two halves; the midpoints of a level are solved in one
+    batch, and only the fresh halves get overlaps.  Whether a segment
     splits depends on ``|overlap|`` alone, not on the sign carried so far,
     so this reaches exactly the segments of a walk along the loop that
-    bisects each weak step as it meets it.  Errors follow that walk too:
-    of all sub-floor gaps (``DegenerateOnLoop``) and segments still below
-    ``OVERLAP_FLOOR`` at the depth cap (``RefinementExhausted``), the one
-    the walk would meet first is raised, and segments touching a
-    degenerate point are not refined.
+    bisects each weak step as it meets it.  The failure that walk meets
+    first is raised: a sub-floor gap at the start point or at a segment's
+    end point (``DegenerateOnLoop``), or a segment whose overlap is still
+    below ``OVERLAP_FLOOR`` (``RefinementExhausted``).
     """
 
     if path is None:
-        path = LoopPath.default_rectangle()
+        path = _DEFAULT_LOOP
     xs, zs = path.sample_coordinates()
     n = xs.size
-    top = MAX_REFINE_DEPTH
     pts = _Points(diag, variant)
-    pts.add(xs, zs, np.stack((np.arange(-1, n - 1), np.full(n, -1), np.zeros(n, dtype=np.int64)), axis=1))
+    pts.add(xs, zs)
 
-    # The segments of one level: endpoint indices, loop edge, tree code.
     left = np.arange(n - 1)
     right = left + 1
-    edge = left.copy()
-    code = np.zeros(n - 1, dtype=np.int64)
-    leaves: list[tuple[np.ndarray, ...]] = []
-    depth = 0
+    depth = np.zeros(n - 1, dtype=np.int64)
+    overlap = pts.overlap(left, right)
     while True:
         degenerate = pts.gap <= GAP_FLOOR
         live = ~(degenerate[left] | degenerate[right])
-        left, right, edge, code = left[live], right[live], edge[live], code[live]
-        overlap = pts.overlap(left, right)
-        split = (np.abs(overlap) < REFINE_TRIGGER) & (depth < top)
-        keep = ~split
-        leaves.append((_place(edge[keep], code[keep], depth, top), right[keep], overlap[keep]))
-        left, right, edge, code = left[split], right[split], edge[split], code[split]
-        if not left.size:
+        split = live & (np.abs(overlap) < REFINE_TRIGGER) & (depth < MAX_REFINE_DEPTH)
+        if not split.any():
             break
-        mid_x = 0.5 * (pts.x[left] + pts.x[right])
-        mid_z = 0.5 * (pts.z[left] + pts.z[right])
-        mid = pts.add(mid_x, mid_z, _place(edge, code, depth, top))
-        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
-        edge = np.concatenate((edge, edge))
-        code = np.concatenate((2 * code, 2 * code + 1))
-        depth += 1
+        a, b = left[split], right[split]
+        mid = pts.add(0.5 * (pts.x[a] + pts.x[b]), 0.5 * (pts.z[a] + pts.z[b]))
+        # A split segment is repeated in its place: the first copy ends at
+        # the midpoint, the second starts there.
+        first = np.flatnonzero(split) + np.arange(mid.size)
+        left, right, depth, overlap = (np.repeat(v, 1 + split) for v in (left, right, depth, overlap))
+        right[first] = left[first + 1] = mid
+        fresh = np.concatenate((first, first + 1))
+        depth[fresh] += 1
+        overlap[fresh] = pts.overlap(left[fresh], right[fresh])
 
-    place, target, overlap = (np.concatenate(part) for part in zip(*leaves))
-    _raise_first_failure(pts, place, target, overlap)
+    # The walk meets point 0, then each segment's end point and the segment;
+    # a segment leaving a degenerate point follows the one that reaches it.
+    degenerate = pts.gap <= GAP_FLOOR
+    failed = np.flatnonzero(degenerate[right] | (np.abs(overlap) < OVERLAP_FLOOR))
+    if degenerate[0] or failed.size:
+        i = 0 if degenerate[0] else right[failed[0]]
+        if degenerate[i]:
+            raise DegenerateOnLoop(
+                f"gap {pts.gap[i]:.3e} at (x={pts.x[i]:.6g}, z={pts.z[i]:.6g}) is below the floor"
+            )
+        j = failed[0]
+        raise RefinementExhausted(
+            f"overlap {overlap[j]:.3f} near (x={pts.x[i]:.6g}, z={pts.z[i]:.6g}) "
+            f"still below {OVERLAP_FLOOR} at refinement depth {depth[j]}"
+        )
 
-    order = _walk_order(place)
-    target, overlap = target[order], overlap[order]
     # The transported vector at each step is gauge * (the solver's vector).
     gauge = np.cumprod(np.where(overlap < 0.0, -1, 1))
     closing = float(gauge[-1] * pts.overlap(np.array([n - 1]), np.array([0]))[0])
@@ -268,17 +266,9 @@ def berry_phase(
         # and the sign column counts the flips that transport makes.
         logged = np.concatenate(([1], gauge[:-1])) * overlap
         flips = np.cumprod(np.where(logged < 0.0, -1, 1))
-        rows = [(0, 1.0, 1)] + list(zip(target.tolist(), logged.tolist(), flips.tolist()))
+        rows = [(0, 1.0, 1)] + list(zip(right.tolist(), logged.tolist(), flips.tolist()))
         log = tuple(
-            TransportStep(
-                step=step,
-                x=float(pts.x[i]),
-                z=float(pts.z[i]),
-                e0=float(pts.e0[i]),
-                e1=float(pts.e1[i]),
-                overlap=float(ov),
-                cumulative_sign=int(cum),
-            )
+            TransportStep(step, float(pts.x[i]), float(pts.z[i]), float(pts.e0[i]), float(pts.e1[i]), ov, cum)
             for step, (i, ov, cum) in enumerate(rows)
         )
     return BerryResult(
@@ -289,31 +279,6 @@ def berry_phase(
         refined_points=pts.x.size - n,
         points_solved=pts.x.size,
         log=log,
-    )
-
-
-def _raise_first_failure(pts: _Points, place: np.ndarray, target: np.ndarray, overlap: np.ndarray) -> None:
-    """Raise the failure a walk along the loop would meet first, if any.
-
-    ``place``, ``target`` and ``overlap`` describe the segments that were
-    not split: their walk-order place, end point and endpoint overlap.
-    """
-
-    bad_points = np.flatnonzero(pts.gap <= GAP_FLOOR)
-    bad_leaves = np.flatnonzero(np.abs(overlap) < OVERLAP_FLOOR)
-    if not (bad_points.size or bad_leaves.size):
-        return
-    first = int(_walk_order(np.concatenate((pts.place[bad_points], place[bad_leaves])))[0])
-    if first < bad_points.size:
-        i = bad_points[first]
-        raise DegenerateOnLoop(
-            f"gap {pts.gap[i]:.3e} at (x={pts.x[i]:.6g}, z={pts.z[i]:.6g}) is below the floor"
-        )
-    j = bad_leaves[first - bad_points.size]
-    i = target[j]
-    raise RefinementExhausted(
-        f"overlap {overlap[j]:.3f} near (x={pts.x[i]:.6g}, z={pts.z[i]:.6g}) "
-        f"still below {OVERLAP_FLOOR} at refinement depth {place[j, 2]}"
     )
 
 

@@ -59,7 +59,7 @@ def test_spectrum_csv_matches_the_solver(tmp_path, capsys):
     assert first[2:11] == pytest.approx(list(spec.eigenvalues), abs=1e-15)
 
 
-def test_spectrum_output_is_deterministic(capsys):
+def test_spectrum_output_is_deterministic(tmp_path, capsys):
     argv = [
         "spectrum", "wc:n=4,sol=3", "--sweep", "z", "--fixed", "0.1",
         "--range=-1:1", "--samples", "33",
@@ -67,6 +67,9 @@ def test_spectrum_output_is_deterministic(capsys):
     _, first = run_cli(capsys, *argv)
     _, second = run_cli(capsys, *argv)
     assert first == second and len(first) > 0
+    out = tmp_path / "sweep.csv"
+    assert run_cli(capsys, *argv, "--out", str(out)) == (0, "")
+    assert out.read_bytes() == first.encode()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,32 @@ def test_loop_through_origin_is_rejected():
         LoopPath(waypoints=((-1.0, -1.0), (1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)))
 
 
+def test_samples_per_edge_must_be_an_integer():
+    # 1.5 samples per edge would sample past each edge's end, off the loop
+    for bad in (1.5, 2.0, "4"):
+        with pytest.raises(ValueError):
+            LoopPath.default_rectangle(samples_per_edge=bad)
+    assert LoopPath.default_rectangle(samples_per_edge=np.int64(4)).sample_coordinates()[0].size == 21
+
+
+def test_default_loop_is_sampled_once(monkeypatch):
+    # path=None reuses one loop whose samples were computed when it was built
+    real = holonomy.lowest_levels
+    batches = []
+
+    def recording(diag, variant, x, z):
+        batches.append(x)
+        return real(diag, variant, x, z)
+
+    monkeypatch.setattr(holonomy, "lowest_levels", recording)
+    diag = worst_case_diagonal(3, solution_index=1)
+    berry_phase(diag)
+    calls = len(batches)
+    berry_phase(diag)
+    assert batches[calls] is batches[0]
+    assert not batches[0].flags.writeable
+
+
 def test_degenerate_corner_raises(monkeypatch):
     # two solutions make the ground level twofold degenerate on the
     # negative-z axis; a waypoint pinned there cannot be transported
@@ -210,7 +237,7 @@ def dense_walk(diag, variant, path):
     def solve(point):
         spec = eigen_dense(build(diag, point, variant))
         if spec.gap01 <= holonomy.GAP_FLOOR:
-            raise DegenerateOnLoop("reference walk met a degenerate point")
+            raise DegenerateOnLoop(f"at (x={point.x:.6g}, z={point.z:.6g}) is below the floor")
         tally["gap"] = min(tally["gap"], spec.gap01)
         return spec.ground_vector
 
@@ -219,7 +246,10 @@ def dense_walk(diag, variant, path):
         overlap = float(vector @ found)
         if abs(overlap) >= holonomy.REFINE_TRIGGER or depth >= holonomy.MAX_REFINE_DEPTH:
             if abs(overlap) < holonomy.OVERLAP_FLOOR:
-                raise RefinementExhausted("reference walk ran out of depth")
+                raise RefinementExhausted(
+                    f"near (x={target.x:.6g}, z={target.z:.6g}) "
+                    f"still below {holonomy.OVERLAP_FLOOR} at refinement depth {depth}"
+                )
             tally["overlap"] = min(tally["overlap"], abs(overlap))
             tally["flips"] *= -1 if overlap < 0.0 else 1
             log.append((target.x, target.z, overlap, tally["flips"]))
@@ -253,31 +283,44 @@ _FROM_BELOW = LoopPath(
     waypoints=((0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (0.0, -1.0)),
     samples_per_edge=24,
 )
+_ONE_STEP = LoopPath.default_rectangle(samples_per_edge=1)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_batched_transport_matches_a_dense_walk(variant):
+def test_batched_transport_matches_a_dense_walk(variant, monkeypatch):
     rng = np.random.default_rng(4242)
     for n in range(1, 9):
-        for kind, entries in _draws(n, rng).items():
-            diag = ViolationDiagonal(entries)
-            # every loop starts on the x = 0 axis; the coarse one needs refinement
-            paths = [_COARSE] + ([LoopPath.default_rectangle(), _FROM_BELOW] if n <= 6 else [])
-            for path in paths:
-                try:
-                    want = dense_walk(diag, variant, path)
-                except (DegenerateOnLoop, RefinementExhausted) as exc:
-                    with pytest.raises(type(exc)):
-                        berry_phase(diag, variant, path)
-                    continue
-                got = berry_phase(diag, variant, path, collect_log=True)
-                where = f"n={n} {kind} {variant} start={path.waypoints[0]}"
-                assert (got.holonomy_sign, got.refined_points) == want[:2], where
-                assert got.holonomy_sign == (-1 if kind != "insoluble" else 1), where
-                assert got.min_gap_on_loop == pytest.approx(want[2], rel=0, abs=1e-12), where
-                assert got.min_transport_overlap == pytest.approx(want[3], rel=0, abs=1e-12), where
-                steps = [(row.x, row.z, row.cumulative_sign) for row in got.log[1:]]
-                assert steps == [(x, z, flips) for x, z, _, flips in want[4]], where
-                overlaps = [row.overlap for row in got.log[1:]]
-                want_overlaps = [ov for _, _, ov, _ in want[4]]
-                np.testing.assert_allclose(overlaps, want_overlaps, rtol=0, atol=1e-12)
+        # every loop starts on the x = 0 axis; the coarse ones need refinement
+        paths = [_COARSE] + ([LoopPath.default_rectangle(), _FROM_BELOW, _ONE_STEP] if n <= 6 else [])
+        _compare_with_dense_walks(variant, n, rng, paths)
+    # Depth caps of 1 and 2 leave segments below the overlap floor deeper
+    # than depth 0; one sample per edge puts a midpoint on the degenerate
+    # half-axis x = 0, z < 0 of a multi-solution diagonal.
+    for cap in (1, 2):
+        monkeypatch.setattr(holonomy, "MAX_REFINE_DEPTH", cap)
+        for n in range(1, 7):
+            _compare_with_dense_walks(variant, n, rng, [_COARSE, _ONE_STEP])
+
+
+def _compare_with_dense_walks(variant, n, rng, paths):
+    for kind, entries in _draws(n, rng).items():
+        diag = ViolationDiagonal(entries)
+        for path in paths:
+            where = f"n={n} {kind} {variant} start={path.waypoints[0]} cap={holonomy.MAX_REFINE_DEPTH}"
+            try:
+                want = dense_walk(diag, variant, path)
+            except (DegenerateOnLoop, RefinementExhausted) as exc:
+                # the message names the point where the walk fails, and the depth
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    berry_phase(diag, variant, path)
+                continue
+            got = berry_phase(diag, variant, path, collect_log=True)
+            assert (got.holonomy_sign, got.refined_points) == want[:2], where
+            assert got.holonomy_sign == (-1 if kind != "insoluble" else 1), where
+            assert got.min_gap_on_loop == pytest.approx(want[2], rel=0, abs=1e-12), where
+            assert got.min_transport_overlap == pytest.approx(want[3], rel=0, abs=1e-12), where
+            steps = [(row.x, row.z, row.cumulative_sign) for row in got.log[1:]]
+            assert steps == [(x, z, flips) for x, z, _, flips in want[4]], where
+            overlaps = [row.overlap for row in got.log[1:]]
+            want_overlaps = [ov for _, _, ov, _ in want[4]]
+            np.testing.assert_allclose(overlaps, want_overlaps, rtol=0, atol=1e-12)
