@@ -26,6 +26,7 @@ Hbar is 1 throughout: energies are inverse times.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,9 @@ class Schedule:
             raise ScheduleInvalid(f"total_time must be positive and finite, got {self.total_time!r}")
         if self.speed_profile not in PROFILES:
             raise ScheduleInvalid(f"speed_profile {self.speed_profile!r} not in {PROFILES}")
-        if not isinstance(self.steps, int) or self.steps < 100:
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 100:
             raise ScheduleInvalid(f"steps must be an integer >= 100, got {self.steps!r}")
+        object.__setattr__(self, "steps", int(self.steps))
         if not (0.0 < self.min_speed_fraction <= 1.0):
             raise ScheduleInvalid(
                 f"min_speed_fraction must lie in (0, 1], got {self.min_speed_fraction!r}"

@@ -420,7 +420,11 @@ def all_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarr
     return AllLevels(roots=roots, levels=levels, counts=hist.counts)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GAP_TOL = 1e-6  # a zoom stops once its bracket is this narrow in the swept parameter
+# Rescans per call.  Four samples shrink the bracket to 2/3 a round, so this
+# reaches _GAP_TOL from any range up to 1e16 wide; a bracket still wider is
+# held apart by the float spacing of its ends.
+_ZOOM_ROUNDS = 128
 
 
 def min_gap_on_segment(
@@ -431,60 +435,40 @@ def min_gap_on_segment(
     lo: float,
     hi: float,
     samples: int = 65,
-    tol: float = 1e-6,
 ) -> tuple[ParameterPoint, float]:
     """Locate the minimum of the first spectral gap along one parameter axis.
 
     ``sweep`` names the swept parameter ("x" or "z"); ``fixed`` pins the
-    other one.  A coarse scan brackets the smallest sampled gap and a
-    golden-section search refines the bracket to ``tol`` in the parameter.
+    other one.  Each round solves ``samples`` evenly spaced points of the
+    bracket in one ``lowest_levels`` batch, starting from ``[lo, hi]``, and
+    zooms to the two grid cells around the smallest sampled gap.  That
+    shrinks the bracket by ``(samples - 1) / 2`` a round; the zoom stops
+    once it is at most ``_GAP_TOL`` wide and returns the lowest gap seen,
+    with its point.  Nothing assumes the gap is unimodal in the bracket;
+    a bracket that cannot shrink to ``_GAP_TOL`` within ``_ZOOM_ROUNDS``
+    rounds raises ``ConvergenceFailure``.
     """
 
     if sweep not in ("x", "z"):
         raise ValueError(f"sweep must be 'x' or 'z', got {sweep!r}")
-    if samples < 3:
-        raise ValueError("need at least 3 coarse samples")
+    if samples < 4:
+        raise ValueError(f"need at least 4 samples per scan, got {samples}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad sweep range [{lo}, {hi}]")
 
-    def point_at(t: float) -> ParameterPoint:
-        return ParameterPoint(x=t, z=fixed) if sweep == "x" else ParameterPoint(x=fixed, z=t)
-
-    def gaps_at(ts: np.ndarray) -> np.ndarray:
+    a, b = lo, hi
+    t_min, g_min = lo, math.inf
+    for _ in range(_ZOOM_ROUNDS):
+        ts = np.linspace(a, b, samples)
         xs, zs = (ts, fixed) if sweep == "x" else (fixed, ts)
-        return lowest_levels(diag, variant, xs, zs).gap
-
-    def gap_at(t: float) -> float:
-        return float(gaps_at(np.array([t]))[0])
-
-    ts = np.linspace(lo, hi, samples)
-    gaps = gaps_at(ts)
-    best = int(np.argmin(gaps))
-    a = float(ts[max(best - 1, 0)])
-    b = float(ts[min(best + 1, samples - 1)])
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = gap_at(c)
-    fd = gap_at(d)
-    for _ in range(300):
-        if b - a <= tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = gap_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = gap_at(d)
-    else:
-        raise ConvergenceFailure("golden-section refinement did not shrink the bracket")
-
-    t_star = 0.5 * (a + b)
-    g_star = gap_at(t_star)
-    # Keep whichever evaluation was lowest; the coarse grid guards against
-    # a refinement bracket that missed the global sampled minimum.
-    candidates = [(g_star, t_star), (float(gaps[best]), float(ts[best])), (fc, c), (fd, d)]
-    g_min, t_min = min(candidates)
-    return point_at(t_min), float(g_min)
+        gaps = lowest_levels(diag, variant, xs, zs).gap
+        best = int(np.argmin(gaps))
+        if gaps[best] < g_min:
+            t_min, g_min = float(ts[best]), float(gaps[best])
+        a, b = float(ts[max(best - 1, 0)]), float(ts[min(best + 1, samples - 1)])
+        if b - a <= _GAP_TOL:
+            point = ParameterPoint(x=t_min, z=fixed) if sweep == "x" else ParameterPoint(x=fixed, z=t_min)
+            return point, g_min
+    raise ConvergenceFailure(
+        f"gap-minimum bracket still {b - a:.3g} wide after {_ZOOM_ROUNDS} rounds, above {_GAP_TOL:g}"
+    )

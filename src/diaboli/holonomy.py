@@ -83,6 +83,7 @@ class LoopPath:
         if not isinstance(s, numbers.Integral) or s < 1:
             raise ValueError(f"samples_per_edge must be an integer of at least 1, not {s!r}")
         object.__setattr__(self, "waypoints", pts)
+        object.__setattr__(self, "samples_per_edge", int(s))
         j = np.arange(1, s + 1)
         xs, zs = [np.array([pts[0].x])], [np.array([pts[0].z])]
         for a, b in zip(pts, pts[1:]):

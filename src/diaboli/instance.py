@@ -9,6 +9,7 @@ soluble exactly when some entry is zero.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -41,10 +42,11 @@ class CnfInstance:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_vars, int) or self.n_vars < 1:
+        if not isinstance(self.n_vars, numbers.Integral) or self.n_vars < 1:
             raise MalformedHeader(f"variable count must be a positive integer, got {self.n_vars!r}")
         if self.n_vars > MAX_VARS:
             raise MalformedHeader(f"at most {MAX_VARS} variables supported, got {self.n_vars}")
+        object.__setattr__(self, "n_vars", int(self.n_vars))
         clauses = tuple(tuple(int(lit) for lit in clause) for clause in self.clauses)
         if not clauses:
             raise ClauseCountMismatch("an instance needs at least one clause")
@@ -225,10 +227,11 @@ def worst_case_diagonal(n: int, solution_index: int | None = None) -> ViolationD
     ``solution_index=None`` gives the insoluble all-ones counterpart.
     """
 
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, numbers.Integral) or n < 1:
         raise IndexOutOfRange(f"need a positive variable count, got {n!r}")
     if n > MAX_VARS:
         raise IndexOutOfRange(f"at most {MAX_VARS} variables supported, got {n}")
+    n = int(n)
     entries = np.ones(1 << n, dtype=np.int64)
     if solution_index is not None:
         if not 0 <= solution_index < entries.size:

@@ -41,6 +41,10 @@ def test_schedule_validation():
         Schedule(total_time=10.0, speed_profile="linear")
     with pytest.raises(ScheduleInvalid):
         Schedule(total_time=10.0, min_speed_fraction=0.0)
+    with pytest.raises(ScheduleInvalid):
+        Schedule(total_time=10.0, steps=np.int64(99))
+    steps = Schedule(total_time=1.0, steps=np.int64(200)).steps
+    assert steps == 200 and type(steps) is int
 
 
 def test_slow_soluble_run_lands_in_the_ground_state_with_phase_pi():

@@ -18,6 +18,9 @@ from diaboli import (
     eigen_dense,
     lowest_levels,
     min_gap_on_segment,
+    prediction_error,
+    random_instance,
+    violation_diagonal,
     worst_case_diagonal,
 )
 from diaboli.hamiltonian import variant_scales
@@ -169,10 +172,52 @@ def test_min_gap_respects_endpoints():
     assert point.x == pytest.approx(0.3, abs=1e-6)
 
 
-def test_min_gap_raises_when_the_bracket_cannot_shrink_to_tol():
+def test_min_gap_raises_when_the_bracket_cannot_shrink_to_tol(monkeypatch):
     diag = worst_case_diagonal(3, solution_index=0)
-    with pytest.raises(ConvergenceFailure, match="golden-section"):
-        min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=0.0, hi=0.2, tol=0.0)
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=0.0, hi=0.2, samples=3)
+    monkeypatch.setattr(eigensolver, "_ZOOM_ROUNDS", 1)
+    with pytest.raises(ConvergenceFailure, match="bracket still .* wide after 1 rounds"):
+        min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=0.0, hi=0.2)
+
+
+def test_min_gap_takes_a_few_batched_solves(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return lowest_levels(*args)
+
+    monkeypatch.setattr(eigensolver, "lowest_levels", counted)
+    runs = (
+        lambda: min_gap_on_segment(worst_case_diagonal(7, 0), "unscaled", "x", fixed=-1.0, lo=0.0, hi=0.2),
+        lambda: min_gap_on_segment(worst_case_diagonal(16, 5), "unscaled", "x", fixed=-1.0, lo=0.0, hi=0.2),
+        lambda: prediction_error(worst_case_diagonal(16, 5), -1.0),  # 201 samples over [0, 2.5 x_pred]
+        lambda: prediction_error(worst_case_diagonal(10), 0.5, "x_scaled"),  # 201 samples over [-0.5, 0.5]
+    )
+    for run in runs:
+        calls.clear()
+        run()
+        assert 1 <= len(calls) <= 6
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_min_gap_matches_a_dense_scan(variant):
+    rng = np.random.default_rng(808)
+    diags = [worst_case_diagonal(n, sol) for n, sol in ((1, 0), (2, 1), (4, None), (5, 0))]
+    diags += [violation_diagonal(random_instance(n, 4 * n, rng)) for n in (3, 5)]
+    lo, hi = -0.1, 0.7
+    xs = np.linspace(lo, hi, 4001)
+    for diag, z in itertools.product(diags, (-1.0, -0.6)):
+        point, gap = min_gap_on_segment(diag, variant, "x", fixed=z, lo=lo, hi=hi)
+        assert lo <= point.x <= hi and point.z == z
+        assert gap == pytest.approx(eigen_dense(build(diag, point, variant)).gap01, rel=1e-12)
+        # The dense operator is affine in x: base + x * unit.
+        base = build(diag, ParameterPoint(0.0, z), variant).to_dense()
+        unit = build(diag, ParameterPoint(1.0, z), variant).to_dense() - base
+        levels = np.linalg.eigvalsh(base + xs[:, None, None] * unit)
+        floor = float(np.min(levels[:, 1] - levels[:, 0]))
+        assert gap <= floor * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

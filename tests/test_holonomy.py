@@ -123,7 +123,8 @@ def test_samples_per_edge_must_be_an_integer():
     for bad in (1.5, 2.0, "4"):
         with pytest.raises(ValueError):
             LoopPath.default_rectangle(samples_per_edge=bad)
-    assert LoopPath.default_rectangle(samples_per_edge=np.int64(4)).sample_coordinates()[0].size == 21
+    path = LoopPath.default_rectangle(samples_per_edge=np.int64(4))
+    assert path.sample_coordinates()[0].size == 21 and type(path.samples_per_edge) is int
 
 
 def test_default_loop_is_sampled_once(monkeypatch):

@@ -141,6 +141,10 @@ def test_worst_case_diagonal_shape():
         worst_case_diagonal(3, solution_index=8)
     with pytest.raises(IndexOutOfRange):
         worst_case_diagonal(17)
+    with pytest.raises(IndexOutOfRange):
+        worst_case_diagonal(np.int64(0))
+    wide = worst_case_diagonal(np.int64(3))
+    assert wide.dimension == 8 and type(wide.n_vars) is int
 
 
 def test_diagonal_entries_are_read_only():
@@ -179,6 +183,10 @@ def test_clause_validation_on_direct_construction():
         CnfInstance(n_vars=3, clauses=((1, 2, -9),))
     with pytest.raises(VariableOutOfRange):
         CnfInstance(n_vars=3, clauses=((0, 1, 2),))
+    with pytest.raises(MalformedHeader):
+        CnfInstance(n_vars=np.int64(0), clauses=((1, 2, 3),))
+    inst = CnfInstance(n_vars=np.int64(3), clauses=((1, 2, 3),))
+    assert inst == CnfInstance(n_vars=3, clauses=((1, 2, 3),)) and type(inst.n_vars) is int
 
 
 def test_random_instance_is_reproducible():
