@@ -12,6 +12,7 @@ and identical invocations produce byte-identical files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -208,6 +209,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="diaboli", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -94,14 +94,17 @@ class ViolationDiagonal:
     n_vars: int | None = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=np.int64)
+        raw = np.asarray(self.entries)
+        with np.errstate(invalid="ignore"):  # nan and inf are caught just below
+            arr = raw.astype(np.int64)
+        if raw.dtype.kind not in "iu" and not np.array_equal(arr, raw):
+            raise IndexOutOfRange("violation counts must be integers")
         if arr.ndim != 1 or arr.size < 1:
             raise IndexOutOfRange("diagonal must be a non-empty 1-d sequence")
         if arr.size > 2**MAX_VARS:
             raise IndexOutOfRange(f"diagonal longer than {2**MAX_VARS} entries")
         if np.any(arr < 0):
             raise IndexOutOfRange("violation counts cannot be negative")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         n = self.n_vars
@@ -128,11 +131,21 @@ class ViolationDiagonal:
         """Distinct counts, their multiplicities and the entry-to-group map.
 
         Counts are integers, so grouping by equality is exact; computed
-        once per diagonal and shared read-only.
+        once per diagonal and shared read-only.  A value span below the
+        entry count is grouped by ``bincount`` in O(size) memory, any
+        other by sorting; both give what ``np.unique`` gives.
         """
 
-        values, inverse, counts = np.unique(self.entries, return_inverse=True, return_counts=True)
-        hist = Histogram(values, counts, inverse.reshape(-1))
+        entries = self.entries
+        lo = int(entries.min())
+        if int(entries.max()) - lo < entries.size:
+            shifted = entries - lo
+            tally = np.bincount(shifted)
+            present = tally > 0
+            hist = Histogram(np.flatnonzero(present) + lo, tally[present], (np.cumsum(present) - 1)[shifted])
+        else:
+            values, inverse, counts = np.unique(entries, return_inverse=True, return_counts=True)
+            hist = Histogram(values, counts, inverse.reshape(-1))
         for arr in hist:
             arr.setflags(write=False)
         return hist
@@ -204,19 +217,20 @@ def violation_diagonal(inst: CnfInstance) -> ViolationDiagonal:
     """Count violated clauses for every assignment.
 
     A clause is violated exactly when all three of its literals are false,
-    so each clause contributes to ``2**(n-3)`` assignments.
+    so each clause contributes to ``2**(n-3)`` assignments.  Viewed as a
+    ``(2,)*n`` C-order array, variable ``v`` is axis ``n - v``, and those
+    assignments form one sub-block: index 0 on the axis of a positive
+    literal, 1 on that of a negative one, every other axis free.
     """
 
-    size = 1 << inst.n_vars
-    idx = np.arange(size, dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int64)
+    n = inst.n_vars
+    counts = np.zeros((2,) * n, dtype=np.int64)
     for clause in inst.clauses:
-        violated = np.ones(size, dtype=bool)
+        block: list[int | slice] = [slice(None)] * n
         for lit in clause:
-            bit = (idx >> (abs(lit) - 1)) & 1
-            violated &= (bit == 0) if lit > 0 else (bit == 1)
-        counts += violated
-    return ViolationDiagonal(entries=counts, n_vars=inst.n_vars)
+            block[n - abs(lit)] = 0 if lit > 0 else 1
+        counts[tuple(block)] += 1
+    return ViolationDiagonal(entries=counts.reshape(-1), n_vars=n)
 
 
 def worst_case_diagonal(n: int, solution_index: int | None = None) -> ViolationDiagonal:
@@ -234,15 +248,21 @@ def worst_case_diagonal(n: int, solution_index: int | None = None) -> ViolationD
     n = int(n)
     entries = np.ones(1 << n, dtype=np.int64)
     if solution_index is not None:
-        if not 0 <= solution_index < entries.size:
-            raise IndexOutOfRange(f"solution index {solution_index} outside [0, {entries.size})")
-        entries[solution_index] = 0
+        if (
+            not isinstance(solution_index, numbers.Integral)
+            or isinstance(solution_index, bool)
+            or not 0 <= solution_index < entries.size
+        ):
+            raise IndexOutOfRange(f"solution index {solution_index!r} is not an integer in [0, {entries.size})")
+        entries[int(solution_index)] = 0
     return ViolationDiagonal(entries=entries, n_vars=n)
 
 
 def random_instance(n_vars: int, n_clauses: int, rng: np.random.Generator | int) -> CnfInstance:
     """Draw a random 3-SAT instance: clause variables distinct, signs fair."""
 
+    if not isinstance(n_vars, numbers.Integral) or n_vars < 3:
+        raise MalformedHeader(f"a 3-SAT clause needs at least 3 variables, got {n_vars!r}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     clauses = []

@@ -18,7 +18,7 @@ from diaboli import (
     violation_diagonal,
     worst_case_diagonal,
 )
-from diaboli.cli import main
+from diaboli.cli import _build_parser, main
 from diaboli.hamiltonian import variant_scales
 
 CNF = """c single soluble clause
@@ -273,6 +273,16 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
+
+
+def test_repeated_calls_share_one_parser_and_no_values(capsys):
+    argv = ["predict-gap", "wc:n=5,sol=0", "--z", "0.5"]
+    fresh = subprocess.run([sys.executable, "-m", "diaboli", *argv], capture_output=True, text=True)
+    assert fresh.returncode == 0
+    spectrum = ["spectrum", "wc:n=3,sol=0", "--variant", "z_scaled", "--sweep", "x", "--fixed", "-1"]
+    assert run_cli(capsys, *spectrum, "--range", "0:0.2", "--samples", "3")[0] == 0
+    assert run_cli(capsys, *argv) == (0, fresh.stdout)
+    assert _build_parser() is _build_parser()
 
 
 def test_installed_entry_point():

@@ -113,6 +113,34 @@ def test_violation_diagonal_matches_slow_evaluator():
             assert diag.entries.tolist() == expected
 
 
+def violation_counts_by_passes(inst: CnfInstance) -> np.ndarray:
+    """Oracle: three boolean passes over every index for each clause."""
+
+    size = 1 << inst.n_vars
+    idx = np.arange(size, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
+    for clause in inst.clauses:
+        violated = np.ones(size, dtype=bool)
+        for lit in clause:
+            bit = (idx >> (abs(lit) - 1)) & 1
+            violated &= (bit == 0) if lit > 0 else (bit == 1)
+        counts += violated
+    return counts
+
+
+def test_violation_diagonal_matches_clause_passes_up_to_16_vars():
+    rng = np.random.default_rng(2609)
+    for n in range(3, 17):
+        # every sign pattern on a clause over the end variables 1 and n, each twice
+        edge = [tuple(-v if neg else v for neg, v in zip(signs, (1, n // 2 + 1, n))) for signs in np.ndindex(2, 2, 2)]
+        drawn = random_instance(n, int(rng.integers(1, 6 * n + 1)), rng).clauses
+        for clauses in (tuple(edge * 2), drawn, drawn + drawn[:3]):
+            inst = CnfInstance(n_vars=n, clauses=clauses)
+            diag = violation_diagonal(inst)
+            assert diag.entries.dtype == np.int64 and diag.n_vars == n
+            assert np.array_equal(diag.entries, violation_counts_by_passes(inst))
+
+
 def test_each_clause_hits_exactly_an_eighth_of_the_space():
     # all three literal variables pinned, n-3 free bits
     rng = np.random.default_rng(11)
@@ -145,6 +173,10 @@ def test_worst_case_diagonal_shape():
         worst_case_diagonal(np.int64(0))
     wide = worst_case_diagonal(np.int64(3))
     assert wide.dimension == 8 and type(wide.n_vars) is int
+    assert worst_case_diagonal(3, solution_index=np.int64(5)).solutions == [5]
+    for bad in (True, 2.7, -1):
+        with pytest.raises(IndexOutOfRange):
+            worst_case_diagonal(3, solution_index=bad)
 
 
 def test_diagonal_entries_are_read_only():
@@ -161,6 +193,21 @@ def test_histogram_groups_counts_exactly():
     assert diag.histogram is diag.histogram
     with pytest.raises(ValueError):
         counts[0] = 7
+    # bincount groups a value span below the size, np.unique any other
+    full = violation_diagonal(random_instance(10, 40, 5))
+    diagonals = [
+        diag,
+        ViolationDiagonal(np.array([0, 10**12, 0])),
+        ViolationDiagonal(np.array([0, 5])),
+        ViolationDiagonal(np.array([7])),
+        ViolationDiagonal(full.entries[300:700]),
+        *(worst_case_diagonal(16, k) for k in (None, 0, 5, (1 << 16) - 1)),
+    ]
+    for diag in diagonals:
+        values, inverse, counts = np.unique(diag.entries, return_inverse=True, return_counts=True)
+        for got, want in zip(diag.histogram, (values, counts, inverse.reshape(-1))):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
 
 
 def test_diagonal_infers_n_vars_only_for_power_of_two():
@@ -170,6 +217,11 @@ def test_diagonal_infers_n_vars_only_for_power_of_two():
         ViolationDiagonal(np.array([0, 1, 2]), n_vars=2)
     with pytest.raises(IndexOutOfRange):
         ViolationDiagonal(np.array([-1, 0]))
+    for fractional in ([0.5, 1.7], [0.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(IndexOutOfRange):
+            ViolationDiagonal(np.array(fractional))
+    assert ViolationDiagonal(np.array([1.0, 0.0])).entries.tolist() == [1, 0]
+    assert ViolationDiagonal(np.array([3, 1], dtype=np.uint8)).entries.dtype == np.int64
     with pytest.raises(IndexOutOfRange):
         ViolationDiagonal(np.array([], dtype=np.int64))
 
@@ -187,6 +239,13 @@ def test_clause_validation_on_direct_construction():
         CnfInstance(n_vars=np.int64(0), clauses=((1, 2, 3),))
     inst = CnfInstance(n_vars=np.int64(3), clauses=((1, 2, 3),))
     assert inst == CnfInstance(n_vars=3, clauses=((1, 2, 3),)) and type(inst.n_vars) is int
+
+
+def test_random_instance_needs_three_variables():
+    for n_vars in (2, 0, -1, 3.0):
+        with pytest.raises(MalformedHeader):
+            random_instance(n_vars, 3, 0)
+    assert random_instance(3, 1, 0).n_vars == 3
 
 
 def test_random_instance_is_reproducible():
