@@ -9,11 +9,13 @@ therefore conserved structurally and only monitored, never restored.
 The evolution runs in the symmetric sector: the start state is uniform on
 each violation-count group, and the operator maps such states to such
 states, so the state lives in the ``G + 1`` dimensions spanned by the
-group-uniform states and the head.  All midpoint operators of a traversal
+group-uniform states and the head.  The midpoint operators of a traversal
 are diagonalized by one stacked ``numpy.linalg.eigh`` on these small
-matrices, which leaves one ``(G+1)``-dim product per step; the final
-state is spread back over the ``2**n`` entries at the end.  The cost is
-set by ``G``, not by ``2**n``.
+matrices, whose levels also give the ``gap_adaptive`` gaps (outside the
+sector lie only the levels ``z/4 + s * u_g``; the lowest is ``e1`` when
+``k_0 > 1``).  Small sectors propagate in blocks of step unitaries, larger
+ones step through each midpoint eigenbasis.  The final state is spread over
+the ``2**n`` entries at the end, so the cost is set by ``G``, not ``2**n``.
 
 Two speed profiles are provided: ``uniform`` covers equal arc length per
 unit time, and ``gap_adaptive`` moves at a rate proportional to the
@@ -42,6 +44,7 @@ from .instance import ViolationDiagonal
 PROFILES = ("uniform", "gap_adaptive")
 NORM_TOLERANCE = 1e-6
 _BATCH_ENTRIES = 1 << 18  # matrix entries per stacked eigh batch
+_SMALL_SECTOR = 8  # largest G + 1 whose (G+1)**3 unitary per step costs less than the calls blocks save
 
 
 @dataclass(frozen=True)
@@ -122,16 +125,10 @@ class _ArcLengthLoop:
         return x, z
 
 
-def _step_durations(
-    diag: ViolationDiagonal,
-    variant: str,
-    mid_points: tuple[np.ndarray, np.ndarray],
-    schedule: Schedule,
-) -> np.ndarray:
+def _step_durations(gaps: np.ndarray | None, schedule: Schedule) -> np.ndarray:
     steps = schedule.steps
     if schedule.speed_profile == "uniform":
         return np.full(steps, schedule.total_time / steps)
-    gaps = lowest_levels(diag, variant, *mid_points).gap
     speed = gaps * gaps
     speed = np.maximum(speed, schedule.min_speed_fraction * float(speed.mean()))
     durations = (1.0 / steps) / speed
@@ -160,6 +157,27 @@ def _sector_operators(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: n
     return mats
 
 
+def _propagate(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``u[j] @ ... @ u[0] @ psi`` to ``out[j]`` for every step ``j``; return the last state.
+
+    In blocks of about ``sqrt(len(u))`` steps, the prefix products within all
+    blocks are taken at once, in place of ``u``; each block's start state is
+    carried through its product, and one ``einsum`` applies the prefixes.
+    """
+
+    block = math.isqrt(len(u))
+    whole = len(u) - len(u) % block
+    prefix = u[:whole].reshape(-1, block, psi.size, psi.size)
+    for t in range(1, block):
+        prefix[:, t] = prefix[:, t] @ prefix[:, t - 1]
+    starts = np.empty((len(prefix), psi.size), dtype=np.complex128)
+    for b, product in enumerate(prefix[:, -1]):
+        starts[b] = psi
+        psi = product @ psi
+    out[:whole] = np.einsum("btij,bj->bti", prefix, starts).reshape(whole, psi.size)
+    return _propagate(u[whole:], psi, out[whole:]) if whole < len(u) else psi
+
+
 def evolve(
     diag: ViolationDiagonal,
     variant: str,
@@ -175,26 +193,40 @@ def evolve(
     s_edges = np.linspace(0.0, 1.0, steps + 1)
     s_mid = 0.5 * (s_edges[:-1] + s_edges[1:])
     x_mid, z_mid = loop.points_at(s_mid)
-    durations = _step_durations(diag, variant, (x_mid, z_mid), schedule)
+    hist = diag.histogram
+    dim = hist.values.size + 1
+    chunk = max(1, _BATCH_ENTRIES // dim**2)
+    # While every midpoint fits one batch, its stacked eigh gives the gaps too;
+    # past that, a second eigh for them would cost O((G+1)**3) a point.
+    spectra = gaps = None
+    if steps <= chunk:
+        mats = _sector_operators(diag, variant, x_mid, z_mid)
+        spectra = w, _ = np.linalg.eigh(mats)
+        gaps = (mats[:, 0, 0] if hist.counts[0] > 1 else w[:, 1]) - w[:, 0]
+    elif schedule.speed_profile == "gap_adaptive":
+        gaps = lowest_levels(diag, variant, x_mid, z_mid).gap
+    durations = _step_durations(gaps, schedule)
 
-    # Instantaneous levels and ground states at the step edges, for the
-    # dynamical-phase quadrature and the fidelities, in sector coordinates.
+    # Ground levels and states at the step edges, in sector coordinates.  The
+    # log's e1 takes its own solve, so logging cannot move e0 by a last bit.
     x_edge, z_edge = loop.points_at(s_edges)
-    edges = lowest_levels(diag, variant, x_edge, z_edge)
+    edges = lowest_levels(diag, variant, x_edge, z_edge, _roots=1)
     e0 = edges.e0
-    root_k = np.sqrt(diag.histogram.counts.astype(np.float64))
+    root_k = np.sqrt(hist.counts.astype(np.float64))
     grounds = np.concatenate((edges.amplitudes * root_k, edges.head[:, None]), axis=1)
 
     # states[j] is the state after j steps.
-    states = np.empty((steps + 1, grounds.shape[1]), dtype=np.complex128)
+    states = np.empty((steps + 1, dim), dtype=np.complex128)
     psi = states[0] = grounds[0]
-    chunk = max(1, _BATCH_ENTRIES // grounds.shape[1] ** 2)
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
-        w, v = np.linalg.eigh(_sector_operators(diag, variant, x_mid[start:stop], z_mid[start:stop]))
+        w, v = spectra or np.linalg.eigh(_sector_operators(diag, variant, x_mid[start:stop], z_mid[start:stop]))
         phases = np.exp(-1j * w * durations[start:stop, None])
-        for j, u in enumerate((v * phases[:, None, :]) @ np.swapaxes(v, 1, 2), start + 1):
-            psi = states[j] = u @ psi
+        if dim <= _SMALL_SECTOR:
+            psi = _propagate(np.einsum("pij,pj,pkj->pik", v, phases, v), psi, states[start + 1 : stop + 1])
+        else:  # no (G+1)**3 unitary per step: each step goes through its eigenbasis and back
+            for j, (basis, phase) in enumerate(zip(v, phases), start + 1):
+                psi = states[j] = basis @ (phase * (psi @ basis))
 
     elapsed = np.cumsum(durations)
     norms = np.linalg.norm(states[1:], axis=1)
@@ -207,15 +239,9 @@ def evolve(
 
     log = None
     if collect_log:
-        times = np.concatenate(([0.0], elapsed)).tolist()
-        norm_column = [1.0] + norms.tolist()
-        log = tuple(
-            EvolutionStep(t=t, x=x, z=z, e0=a, e1=b, fidelity=f, norm=m)
-            for t, x, z, a, b, f, m in zip(
-                times, x_edge.tolist(), z_edge.tolist(), e0.tolist(), edges.e1.tolist(),
-                fidelities.tolist(), norm_column,
-            )
-        )
+        e1 = lowest_levels(diag, variant, x_edge, z_edge).e1
+        columns = np.concatenate(([0.0], elapsed)), x_edge, z_edge, e0, e1, fidelities, np.append(1.0, norms)
+        log = tuple(map(EvolutionStep, *(column.tolist() for column in columns)))
 
     dynamical = -float(np.sum(0.5 * (e0[:-1] + e0[1:]) * durations))
     total = float(np.angle(np.vdot(states[0], psi)))
@@ -223,7 +249,7 @@ def evolve(
     if geometric <= -math.pi:
         geometric += 2.0 * math.pi
     # Spread the sector amplitudes back over the k_g entries of each group.
-    body = (psi[:-1] / root_k)[diag.histogram.inverse]
+    body = (psi[:-1] / root_k)[hist.inverse]
     return EvolutionResult(
         total_time=schedule.total_time,
         speed_profile=schedule.speed_profile,

@@ -286,7 +286,7 @@ class LowestLevels:
     head: np.ndarray
 
 
-def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarray) -> LowestLevels:
+def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarray, _roots=2) -> LowestLevels:
     """Two lowest levels and the ground vector of ``build(diag, (x, z), variant)`` at every point.
 
     Works on the exact histogram of the diagonal, so the cost per point is
@@ -297,7 +297,8 @@ def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.nd
     body value, which leaves one root.  Points with ``x = 0``, or with a
     border whose square is below the normal range, follow
     ``eigen_arrowhead``'s diagonal branch, with the lowest body group's
-    vector made uniform.
+    vector made uniform.  The private ``_roots = 1`` solves the ground level
+    and vector only, leaving ``e1`` and ``gap`` nan where they need a second root.
     """
 
     x, z = _flat_points(x, z)
@@ -310,8 +311,8 @@ def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.nd
     quarter = z / 4.0
     border = x / divisor
     e0 = np.empty(x.size)
-    e1 = np.empty(x.size)
-    gap = np.empty(x.size)
+    e1 = np.full(x.size, np.nan)
+    gap = np.full(x.size, np.nan)
     amplitudes = np.zeros((x.size, poles.size))
     head = np.zeros(x.size)
 
@@ -333,13 +334,13 @@ def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.nd
         b = border[live]
         q = quarter[live]
         # A repeated lowest count pins e1 to its body level; only e0 needs solving.
-        origin, offset = _leftmost_roots(poles, k, diag.dimension, b, -2.0 * q, 1 if repeated else 2)
+        origin, offset = _leftmost_roots(poles, k, diag.dimension, b, -2.0 * q, 1 if repeated else _roots)
         s0, t0 = origin[:, 0], offset[:, 0]
         e0[live] = q + (s0 + t0)
         if repeated:
             e1[live] = q + poles[0]
             gap[live] = (poles[0] - s0) - t0
-        else:
+        elif _roots > 1:
             e1[live] = q + (origin[:, 1] + offset[:, 1])
             gap[live] = (origin[:, 1] - s0) + (offset[:, 1] - t0)
         # mu0 - u_g = offset - (u_g - origin), and pole differences are exact.

@@ -42,7 +42,7 @@ class CnfInstance:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_vars, numbers.Integral) or self.n_vars < 1:
+        if not isinstance(self.n_vars, numbers.Integral) or isinstance(self.n_vars, bool) or self.n_vars < 1:
             raise MalformedHeader(f"variable count must be a positive integer, got {self.n_vars!r}")
         if self.n_vars > MAX_VARS:
             raise MalformedHeader(f"at most {MAX_VARS} variables supported, got {self.n_vars}")
@@ -94,9 +94,12 @@ class ViolationDiagonal:
     n_vars: int | None = None
 
     def __post_init__(self) -> None:
-        raw = np.asarray(self.entries)
-        with np.errstate(invalid="ignore"):  # nan and inf are caught just below
-            arr = raw.astype(np.int64)
+        try:
+            raw = np.asarray(self.entries)
+            with np.errstate(invalid="ignore"):  # nan and inf are caught just below
+                arr = raw.astype(np.int64)
+        except (TypeError, ValueError) as exc:  # ragged nesting, or values that are not numbers
+            raise IndexOutOfRange(f"violation counts must be integers: {exc}") from exc
         if raw.dtype.kind not in "iu" and not np.array_equal(arr, raw):
             raise IndexOutOfRange("violation counts must be integers")
         if arr.ndim != 1 or arr.size < 1:
@@ -241,7 +244,7 @@ def worst_case_diagonal(n: int, solution_index: int | None = None) -> ViolationD
     ``solution_index=None`` gives the insoluble all-ones counterpart.
     """
 
-    if not isinstance(n, numbers.Integral) or n < 1:
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
         raise IndexOutOfRange(f"need a positive variable count, got {n!r}")
     if n > MAX_VARS:
         raise IndexOutOfRange(f"at most {MAX_VARS} variables supported, got {n}")

@@ -1,6 +1,7 @@
 """Time evolution around the loop: unitarity, fidelity, extracted phase."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def dense_walk(diag, variant, schedule):
     loop = adiabatic._ArcLengthLoop(RECT)
     s_edges = np.linspace(0.0, 1.0, schedule.steps + 1)
     x_mid, z_mid = loop.points_at(0.5 * (s_edges[:-1] + s_edges[1:]))
-    durations = adiabatic._step_durations(diag, variant, (x_mid, z_mid), schedule)
+    durations = adiabatic._step_durations(lowest_levels(diag, variant, x_mid, z_mid).gap, schedule)
     edges = lowest_levels(diag, variant, *loop.points_at(s_edges))
     grounds = np.concatenate((edges.amplitudes[:, diag.histogram.inverse], edges.head[:, None]), axis=1)
     psi = grounds[0].astype(np.complex128)
@@ -190,3 +191,98 @@ def test_norm_drift_raises(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", stretched)
     with pytest.raises(NormDrift, match="norm drifted"):
         evolve(worst_case_diagonal(3, 0), "unscaled", RECT, Schedule(50.0, steps=100))
+
+
+def sector_loop(diag, variant, schedule):
+    """Oracle: one eigh per step's sector operator on ``lowest_levels`` gaps, then one ``u @ psi`` per step."""
+
+    loop = adiabatic._ArcLengthLoop(RECT)
+    s_edges = np.linspace(0.0, 1.0, schedule.steps + 1)
+    x_mid, z_mid = loop.points_at(0.5 * (s_edges[:-1] + s_edges[1:]))
+    durations = adiabatic._step_durations(lowest_levels(diag, variant, x_mid, z_mid).gap, schedule)
+    edges = lowest_levels(diag, variant, *loop.points_at(s_edges))
+    root_k = np.sqrt(diag.histogram.counts)
+    grounds = np.concatenate((edges.amplitudes * root_k, edges.head[:, None]), axis=1)
+    w, v = np.linalg.eigh(adiabatic._sector_operators(diag, variant, x_mid, z_mid))
+    states = [grounds[0].astype(np.complex128)]
+    for u in (v * np.exp(-1j * w * durations[:, None])[:, None, :]) @ np.swapaxes(v, 1, 2):
+        states.append(u @ states[-1])
+    psi = states[-1]
+    fidelities = np.abs(np.sum(grounds * states, axis=1)) ** 2
+    final = np.append((psi[:-1] / root_k)[diag.histogram.inverse], psi[-1])
+    dynamical = -float(np.sum(0.5 * (edges.e0[:-1] + edges.e0[1:]) * durations))
+    return final, fidelities, dynamical, float(np.angle(np.vdot(states[0], psi)))
+
+
+def sector_diagonals():
+    """Planted and insoluble worst cases (k_0 = 1, 8), several zeros (k_0 = 3), a random CNF with G = 11."""
+
+    return (
+        worst_case_diagonal(3, 5),
+        worst_case_diagonal(3, None),
+        ViolationDiagonal(np.array([0, 2, 0, 1, 3, 0, 1, 2])),
+        violation_diagonal(random_instance(6, 40, 0)),
+    )
+
+
+@pytest.mark.parametrize("steps", [100, 101, 2003])
+@pytest.mark.parametrize("profile", ["uniform", "gap_adaptive"])
+def test_blocked_evolution_matches_the_step_loop(profile, steps):
+    # Odd step counts put a midpoint on x = 0, where the sector is diagonal.
+    # G + 1 = 12 exceeds _SMALL_SECTOR, so the eigenbasis step loop runs too;
+    # at 2003 steps it spans two chunks and takes its gaps from lowest_levels.
+    schedule = Schedule(200.0, profile, steps=steps)
+    for variant in VARIANTS:
+        for diag in sector_diagonals():
+            result = evolve(diag, variant, RECT, schedule, collect_log=True)
+            final, fidelities, dynamical, total = sector_loop(diag, variant, schedule)
+            np.testing.assert_allclose(result.final_state, final, rtol=0, atol=1e-11)
+            np.testing.assert_allclose([row.fidelity for row in result.log], fidelities, rtol=0, atol=1e-11)
+            assert result.ground_fidelity == pytest.approx(fidelities[-1], abs=1e-11)
+            assert result.dynamical_phase == pytest.approx(dynamical, abs=1e-11)
+            assert circular_distance(result.total_phase, total) < 1e-11
+
+
+@pytest.mark.parametrize("profile", ["uniform", "gap_adaptive"])
+def test_chunked_evolution_matches_one_chunk(monkeypatch, profile):
+    schedule = Schedule(200.0, profile, steps=1001)
+    for diag in sector_diagonals()[:3]:
+        whole = evolve(diag, "unscaled", RECT, schedule)
+        # 60-step chunks: the gaps come from lowest_levels, and each chunk ends in a part block.
+        monkeypatch.setattr(adiabatic, "_BATCH_ENTRIES", 60 * (diag.histogram.values.size + 1) ** 2)
+        chunked = evolve(diag, "unscaled", RECT, schedule)
+        monkeypatch.undo()
+        np.testing.assert_allclose(chunked.final_state, whole.final_state, rtol=0, atol=1e-12)
+        assert chunked.ground_fidelity == pytest.approx(whole.ground_fidelity, abs=1e-12)
+        assert chunked.dynamical_phase == pytest.approx(whole.dynamical_phase, abs=1e-12)
+        assert circular_distance(chunked.total_phase, whole.total_phase) < 1e-12
+
+
+def test_log_collection_leaves_the_traversal_bit_identical():
+    for profile in ("uniform", "gap_adaptive"):
+        for diag in sector_diagonals():
+            for variant in VARIANTS:
+                schedule = Schedule(100.0, profile, steps=301)
+                bare = evolve(diag, variant, RECT, schedule)
+                logged = evolve(diag, variant, RECT, schedule, collect_log=True)
+                assert np.array_equal(bare.final_state, logged.final_state)
+                assert (bare.ground_fidelity, bare.max_norm_drift) == (logged.ground_fidelity, logged.max_norm_drift)
+                assert (bare.dynamical_phase, bare.total_phase, bare.geometric_phase_estimate) == (
+                    logged.dynamical_phase, logged.total_phase, logged.geometric_phase_estimate
+                )
+
+
+def test_large_sector_evolution_builds_no_unitaries():
+    # G = 43: 135 steps per stacked eigh, so the gaps come from lowest_levels,
+    # and each step goes through its eigenbasis instead of a 44 x 44 unitary.
+    # Building every chunk's unitaries peaked at 20.9 MiB here.
+    diag = violation_diagonal(random_instance(16, 300, np.random.default_rng(5)))
+    assert diag.histogram.values.size == 43
+    tracemalloc.start()
+    try:
+        result = evolve(diag, "unscaled", RECT, Schedule(1e3, "gap_adaptive", steps=2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.max_norm_drift < 1e-9
+    assert peak <= 12 * 2**20

@@ -171,6 +171,8 @@ def test_worst_case_diagonal_shape():
         worst_case_diagonal(17)
     with pytest.raises(IndexOutOfRange):
         worst_case_diagonal(np.int64(0))
+    with pytest.raises(IndexOutOfRange):
+        worst_case_diagonal(True)
     wide = worst_case_diagonal(np.int64(3))
     assert wide.dimension == 8 and type(wide.n_vars) is int
     assert worst_case_diagonal(3, solution_index=np.int64(5)).solutions == [5]
@@ -224,6 +226,9 @@ def test_diagonal_infers_n_vars_only_for_power_of_two():
     assert ViolationDiagonal(np.array([3, 1], dtype=np.uint8)).entries.dtype == np.int64
     with pytest.raises(IndexOutOfRange):
         ViolationDiagonal(np.array([], dtype=np.int64))
+    for malformed in ([[0, 1], [1]], ["1", "x"], [None, 1]):
+        with pytest.raises(IndexOutOfRange):
+            ViolationDiagonal(malformed)
 
 
 def test_clause_validation_on_direct_construction():
@@ -237,6 +242,8 @@ def test_clause_validation_on_direct_construction():
         CnfInstance(n_vars=3, clauses=((0, 1, 2),))
     with pytest.raises(MalformedHeader):
         CnfInstance(n_vars=np.int64(0), clauses=((1, 2, 3),))
+    with pytest.raises(MalformedHeader):
+        CnfInstance(n_vars=True, clauses=((1, 2, 3),))
     inst = CnfInstance(n_vars=np.int64(3), clauses=((1, 2, 3),))
     assert inst == CnfInstance(n_vars=3, clauses=((1, 2, 3),)) and type(inst.n_vars) is int
 
