@@ -9,13 +9,15 @@ therefore conserved structurally and only monitored, never restored.
 The evolution runs in the symmetric sector: the start state is uniform on
 each violation-count group, and the operator maps such states to such
 states, so the state lives in the ``G + 1`` dimensions spanned by the
-group-uniform states and the head.  The midpoint operators of a traversal
-are diagonalized by one stacked ``numpy.linalg.eigh`` on these small
-matrices, whose levels also give the ``gap_adaptive`` gaps (outside the
-sector lie only the levels ``z/4 + s * u_g``; the lowest is ``e1`` when
-``k_0 > 1``).  Small sectors propagate in blocks of step unitaries, larger
-ones step through each midpoint eigenbasis.  The final state is spread over
-the ``2**n`` entries at the end, so the cost is set by ``G``, not ``2**n``.
+group-uniform states and the head.  Its matrices are built from
+``hamiltonian.sector``, which decides the variant scaling; at ``x = 0``
+they are diagonal.  The midpoint operators of a traversal are diagonalized
+by one stacked ``numpy.linalg.eigh``, whose levels also give the
+``gap_adaptive`` gaps (outside the sector lie only the levels
+``z/4 + s * u_g``; the lowest is ``e1`` when ``k_0 > 1``).  Small sectors
+propagate in blocks of step unitaries, larger ones step through each
+midpoint eigenbasis.  The final state is spread over the ``2**n`` entries
+at the end, so the cost is set by ``G``, not ``2**n``.
 
 Two speed profiles are provided: ``uniform`` covers equal arc length per
 unit time, and ``gap_adaptive`` moves at a rate proportional to the
@@ -37,7 +39,7 @@ from .errors import NormDrift, ScheduleInvalid
 from .eigensolver import lowest_levels
 from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
-from .hamiltonian import variant_scales
+from .hamiltonian import sector
 from .holonomy import LoopPath
 from .instance import ViolationDiagonal
 
@@ -45,6 +47,7 @@ PROFILES = ("uniform", "gap_adaptive")
 NORM_TOLERANCE = 1e-6
 _BATCH_ENTRIES = 1 << 18  # matrix entries per stacked eigh batch
 _SMALL_SECTOR = 8  # largest G + 1 whose (G+1)**3 unitary per step costs less than the calls blocks save
+_MIN_SPEED_FRACTION = 0.05  # gap_adaptive speed floor, relative to the mean speed
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ class Schedule:
     total_time: float
     speed_profile: str = "uniform"
     steps: int = 2000
-    min_speed_fraction: float = 0.05
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.total_time) and self.total_time > 0.0):
@@ -64,10 +66,6 @@ class Schedule:
         if not isinstance(self.steps, numbers.Integral) or self.steps < 100:
             raise ScheduleInvalid(f"steps must be an integer >= 100, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
-        if not (0.0 < self.min_speed_fraction <= 1.0):
-            raise ScheduleInvalid(
-                f"min_speed_fraction must lie in (0, 1], got {self.min_speed_fraction!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ def _step_durations(gaps: np.ndarray | None, schedule: Schedule) -> np.ndarray:
     if schedule.speed_profile == "uniform":
         return np.full(steps, schedule.total_time / steps)
     speed = gaps * gaps
-    speed = np.maximum(speed, schedule.min_speed_fraction * float(speed.mean()))
+    speed = np.maximum(speed, _MIN_SPEED_FRACTION * float(speed.mean()))
     durations = (1.0 / steps) / speed
     return durations * (schedule.total_time / float(durations.sum()))
 
@@ -138,22 +136,16 @@ def _step_durations(gaps: np.ndarray | None, schedule: Schedule) -> np.ndarray:
 def _sector_operators(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Stacked ``(G+1)``-dim matrices of the operator on the group-uniform states and the head.
 
-    Group ``g`` spans the ``k_g`` entries with violation count ``u_g``; its
-    uniform state has diagonal ``z/4 + s * u_g`` and couples to the head
-    through ``(x / divisor) * sqrt(k_g)``.
+    Group ``g``'s uniform state couples to the head through ``border * sqrt(k_g)``.
     """
 
-    factor, divisor = variant_scales(variant, diag.dimension)
-    hist = diag.histogram
-    g = hist.values.size
-    quarter = z / 4.0
-    border = (x / divisor)[:, None] * np.sqrt(hist.counts.astype(np.float64))
-    mats = np.zeros((x.size, g + 1, g + 1))
+    poles, counts, quarter, border = sector(diag, variant, x, z)
+    g = poles.size
+    mats = np.zeros((quarter.size, g + 1, g + 1))
     idx = np.arange(g)
-    mats[:, idx, idx] = quarter[:, None] + factor * hist.values.astype(np.float64)
+    mats[:, idx, idx] = quarter[:, None] + poles
     mats[:, g, g] = -quarter
-    mats[:, idx, g] = border
-    mats[:, g, idx] = border
+    mats[:, idx, g] = mats[:, g, idx] = border[:, None] * np.sqrt(counts.astype(np.float64))
     return mats
 
 

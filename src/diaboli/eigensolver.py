@@ -29,17 +29,17 @@ ground eigenvector follows in closed form:
     v[i] = b / (tau - (d[i] - sigma)),   v[head] = 1,   then normalize.
 
 ``lowest_levels`` serves the loop transport, gap scans and evolution
-schedules: it groups a violation diagonal once by its exact histogram
-(distinct count ``u_g``, multiplicity ``k_g``) and solves only the two
-lowest roots, for a whole batch of parameter points at once, returning
-the ground vector as one amplitude per group.  ``all_levels`` runs the
-same batched solve for all ``G + 1`` roots and serves the spectrum sweeps;
-it keeps the spectrum run-length encoded, since each body level repeats
-``k_g - 1`` times.  ``eigen_arrowhead`` returns the whole spectrum of any
-one arrowhead matrix: it groups the body to float tolerance and runs the
-same batched solve at a single point.  ``eigen_dense`` provides the
-independent cross-check through ``numpy.linalg.eigh`` on the materialized
-matrix.
+schedules: on a violation diagonal's exact histogram (``hamiltonian.sector``)
+it solves only the two lowest roots, for a whole batch of parameter points
+at once, returning the ground vector as one amplitude per group.
+``all_levels`` solves all ``G + 1`` roots for the spectrum sweeps and keeps
+the spectrum run-length encoded, since each body level repeats ``k_g - 1``
+times.  ``eigen_arrowhead`` returns the whole spectrum of any one arrowhead
+matrix, its body grouped to float tolerance.  All three go through
+``_sector_roots``, which holds the one rule for a border too small to
+couple (``x = 0``): the roots are the stable-sorted diagonal, body first on
+ties.  ``eigen_dense`` provides the independent cross-check through
+``numpy.linalg.eigh`` on the materialized matrix.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionTooLarge
-from .hamiltonian import DENSE_LIMIT, ArrowheadHamiltonian, ParameterPoint, variant_scales
+from .hamiltonian import DENSE_LIMIT, ArrowheadHamiltonian, ParameterPoint, Sector, sector
 from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .instance import ViolationDiagonal
 
@@ -78,7 +78,7 @@ class Spectrum:
 def _group_body(body: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort body values and merge near-equal ones into (values, counts)."""
 
-    d = np.sort(body)
+    d = np.sort(body, kind="stable")  # the default kind may not keep the sign of a zero
     if d.size == 1:
         return d, np.ones(1, dtype=np.int64)
     gaps = np.diff(d)
@@ -93,22 +93,16 @@ def eigen_arrowhead(ham: ArrowheadHamiltonian) -> Spectrum:
     """Full spectrum of one arrowhead matrix, ascending.
 
     The body is grouped to float tolerance, so this serves any arrowhead;
-    its ``p + 1`` secular roots come from the batched solve behind
-    ``lowest_levels``, run at one point.
+    its ``p + 1`` roots come from the solve behind ``lowest_levels``, run
+    at one point.
     """
 
-    body = ham.body_diag
-    if ham.border * ham.border < _TINY:
-        full = np.append(body, ham.head_diag)
-        return Spectrum(eigenvalues=full[np.argsort(full, kind="stable")])
-
-    values, counts = _group_body(body)
-    origin, offset = _leftmost_roots(
-        values, counts, body.size, np.array([ham.border]), np.array([ham.head_diag]), values.size + 1
-    )
-    roots = (origin + offset)[0]
+    values, counts = _group_body(ham.body_diag)
+    # The body is its own frame: z/4 is -0.0, which leaves every level's bits alone.
+    one = Sector(values, counts, np.full(1, -0.0), np.array([ham.border]))
+    roots, *_ = _sector_roots(one, np.array([ham.head_diag]), values.size + 1)
     deflated = np.repeat(values, counts - 1)
-    return Spectrum(eigenvalues=np.sort(np.concatenate((roots, deflated))))
+    return Spectrum(eigenvalues=np.sort(np.concatenate((deflated, roots[0])), kind="stable"))
 
 
 def eigen_dense(ham: ArrowheadHamiltonian, want_ground_vector: bool = True) -> Spectrum:
@@ -258,14 +252,29 @@ def _leftmost_roots(
     return origin.reshape(count, points).T, offset.reshape(count, points).T
 
 
-def _flat_points(x, z) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter points as two 1-d float arrays of equal length."""
+def _sector_roots(sec: Sector, head: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``count`` lowest roots of the sector at every point, and the solve behind them.
 
-    x, z = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(z, dtype=np.float64))
-    x, z = x.reshape(-1), z.reshape(-1)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-        raise ValueError("parameter points must be finite")
-    return x, z
+    At a flat point, one whose border squared is below the normal range,
+    the sector is diagonal and its roots are its stable-sorted diagonal:
+    ``z/4 + poles``, then ``head``, so the body comes first on ties.
+    Elsewhere root ``j`` is ``z/4 + (origin + offset)``, solved in the frame
+    ``mu = lam - z/4`` where the poles do not move; ``origin`` and ``offset``
+    cover only those points, which ``live`` marks.
+    """
+
+    poles, counts, quarter, border = sec
+    roots = np.empty((border.size, count))
+    flat = border * border < _TINY
+    if flat.any():
+        diagonal = np.concatenate((quarter[flat][:, None] + poles, head[flat][:, None]), axis=1)
+        roots[flat] = np.sort(diagonal, axis=1, kind="stable")[:, :count]
+    live = ~flat
+    origin, offset = _leftmost_roots(
+        poles, counts.astype(np.float64), int(counts.sum()), border[live], head[live] - quarter[live], count
+    )
+    roots[live] = quarter[live][:, None] + (origin + offset)
+    return roots, origin, offset, live
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,68 +298,46 @@ class LowestLevels:
 def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarray, _roots=2) -> LowestLevels:
     """Two lowest levels and the ground vector of ``build(diag, (x, z), variant)`` at every point.
 
-    Works on the exact histogram of the diagonal, so the cost per point is
-    set by the number of distinct violation counts ``G``, not by ``2**n``.
-    In the frame ``mu = lam - z/4`` the poles ``s * u_g`` do not move with
-    the point, and only the two leftmost secular roots are solved, for all
+    Works on the exact histogram of the diagonal (``sector``), so the cost
+    per point is set by the number of distinct violation counts ``G``, not
+    by ``2**n``.  Only the two leftmost secular roots are solved, for all
     points at once; a repeated lowest count ``k_0 > 1`` pins ``e1`` to its
-    body value, which leaves one root.  Points with ``x = 0``, or with a
-    border whose square is below the normal range, follow
-    ``eigen_arrowhead``'s diagonal branch, with the lowest body group's
-    vector made uniform.  The private ``_roots = 1`` solves the ground level
-    and vector only, leaving ``e1`` and ``gap`` nan where they need a second root.
+    body value, which leaves one root.  At a flat point (``x = 0``) the
+    levels are the sorted diagonal, and the ground vector is the lowest body
+    group, made uniform, or the head.  The private ``_roots = 1`` solves the
+    ground level and vector only, leaving ``e1`` and ``gap`` nan where they
+    need a second root.
     """
 
-    x, z = _flat_points(x, z)
-    factor, divisor = variant_scales(variant, diag.dimension)
-    hist = diag.histogram
-    poles = factor * hist.values.astype(np.float64)
-    k = hist.counts.astype(np.float64)
-    repeated = hist.counts[0] > 1
+    sec = sector(diag, variant, x, z)
+    poles, counts, quarter, border = sec
+    repeated = counts[0] > 1
+    # A repeated lowest count pins e1 to its body level; only e0 needs solving.
+    roots, origin, offset, live = _sector_roots(sec, -quarter, 1 if repeated else _roots)
+    s0, t0 = origin[:, 0], offset[:, 0]
+    e0 = roots[:, 0]
+    e1 = quarter + poles[0] if repeated else roots[:, 1] if _roots > 1 else np.full(e0.size, np.nan)
+    gap = e1 - e0  # kept at flat points; the others take it before the z/4 shift
+    if repeated:
+        gap[live] = (poles[0] - s0) - t0
+    elif _roots > 1:
+        gap[live] = (origin[:, 1] - s0) + (offset[:, 1] - t0)
 
-    quarter = z / 4.0
-    border = x / divisor
-    e0 = np.empty(x.size)
-    e1 = np.full(x.size, np.nan)
-    gap = np.full(x.size, np.nan)
-    amplitudes = np.zeros((x.size, poles.size))
-    head = np.zeros(x.size)
-
-    flat = border * border < _TINY
-    if np.any(flat):
-        q = quarter[flat]
-        body0 = q + poles[0]
-        head_value = -q
-        second = body0 if repeated else (q + poles[1] if poles.size > 1 else np.inf)
-        below = body0 <= head_value  # a stable sort puts the body first on ties
-        e0[flat] = np.where(below, body0, head_value)
-        e1[flat] = np.where(below, np.minimum(second, head_value), body0)
-        gap[flat] = e1[flat] - e0[flat]
-        amplitudes[flat, 0] = np.where(below, 1.0 / math.sqrt(hist.counts[0]), 0.0)
+    amplitudes = np.zeros((e0.size, poles.size))
+    head = np.zeros(e0.size)
+    flat = ~live
+    if flat.any():
+        below = quarter[flat] + poles[0] <= -quarter[flat]  # the stable sort puts the body first on ties
+        amplitudes[flat, 0] = np.where(below, 1.0 / math.sqrt(counts[0]), 0.0)
         head[flat] = np.where(below, 0.0, 1.0)
-
-    live = ~flat
-    if np.any(live):
-        b = border[live]
-        q = quarter[live]
-        # A repeated lowest count pins e1 to its body level; only e0 needs solving.
-        origin, offset = _leftmost_roots(poles, k, diag.dimension, b, -2.0 * q, 1 if repeated else _roots)
-        s0, t0 = origin[:, 0], offset[:, 0]
-        e0[live] = q + (s0 + t0)
-        if repeated:
-            e1[live] = q + poles[0]
-            gap[live] = (poles[0] - s0) - t0
-        elif _roots > 1:
-            e1[live] = q + (origin[:, 1] + offset[:, 1])
-            gap[live] = (origin[:, 1] - s0) + (offset[:, 1] - t0)
-        # mu0 - u_g = offset - (u_g - origin), and pole differences are exact.
-        a = b[:, None] / (t0[:, None] - (poles - s0[:, None]))
-        scale = np.maximum(1.0, np.max(np.abs(a), axis=1))  # a near pole can make a*a overflow
-        a /= scale[:, None]
-        h = 1.0 / scale
-        norm = np.sqrt((a * a) @ k + h * h)
-        amplitudes[live] = a / norm[:, None]
-        head[live] = h / norm
+    # mu0 - u_g = offset - (u_g - origin), and pole differences are exact.
+    a = border[live][:, None] / (t0[:, None] - (poles - s0[:, None]))
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=1))  # a near pole can make a*a overflow
+    a /= scale[:, None]
+    h = 1.0 / scale
+    norm = np.sqrt((a * a) @ counts.astype(np.float64) + h * h)
+    amplitudes[live] = a / norm[:, None]
+    head[live] = h / norm
     return LowestLevels(e0=e0, e1=e1, gap=gap, amplitudes=amplitudes, head=head)
 
 
@@ -394,31 +381,14 @@ def all_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarr
     """Whole spectrum of ``build(diag, (x, z), variant)`` at every point, in one batch.
 
     All ``G + 1`` secular roots of every point are solved together by the
-    batched solve behind ``lowest_levels``; the other eigenvalues are the
-    body levels repeated ``k_g - 1`` times.  At ``x = 0`` (or a border
-    whose square is below the normal range) the sector is diagonal and its
-    roots are its sorted diagonal, as in ``eigen_arrowhead``'s diagonal
-    branch.
+    batched solve behind ``lowest_levels``, and flat points take its
+    sorted diagonal; the other eigenvalues are the body levels repeated
+    ``k_g - 1`` times.
     """
 
-    x, z = _flat_points(x, z)
-    factor, divisor = variant_scales(variant, diag.dimension)
-    hist = diag.histogram
-    poles = factor * hist.values.astype(np.float64)
-    quarter = z[:, None] / 4.0
-    border = x / divisor
-    levels = quarter + poles
-    roots = np.empty((x.size, poles.size + 1))
-    flat = border * border < _TINY
-    roots[flat] = np.sort(np.concatenate((levels[flat], -quarter[flat]), axis=1), axis=1)
-    live = ~flat
-    if np.any(live):
-        origin, offset = _leftmost_roots(
-            poles, hist.counts.astype(np.float64), diag.dimension, border[live],
-            -2.0 * quarter[live, 0], poles.size + 1,
-        )
-        roots[live] = quarter[live] + (origin + offset)
-    return AllLevels(roots=roots, levels=levels, counts=hist.counts)
+    sec = sector(diag, variant, x, z)
+    roots = _sector_roots(sec, -sec.quarter, sec.poles.size + 1)[0]
+    return AllLevels(roots=roots, levels=sec.quarter[:, None] + sec.poles, counts=sec.counts)
 
 
 _GAP_TOL = 1e-6  # a zoom stops once its bracket is this narrow in the swept parameter

@@ -10,13 +10,15 @@ the opposite bias, so the two sectors cross as ``z`` changes sign:
 * ``x_scaled``   body ``z/4 + d[i]``,     border ``x / sqrt(N)``, head ``-z/4``
 
 ``N`` is the body dimension of the diagonal being built, so restricted
-subproblems scale by their own size.
+subproblems scale by their own size.  ``sector`` gives the same operators
+at a batch of points in histogram form; only this module scales variants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,6 +123,27 @@ def build(diag: ViolationDiagonal, point: ParameterPoint, variant: str = "unscal
         border=point.x / divisor,
         head_diag=-quarter,
     )
+
+
+class Sector(NamedTuple):
+    """Group ``g``: ``k_g`` body levels ``z/4 + poles[g]``, each coupled by ``border`` to the head ``-z/4``."""
+
+    poles: np.ndarray  # s * u_g, ascending
+    counts: np.ndarray  # k_g
+    quarter: np.ndarray  # z/4 at every point
+    border: np.ndarray  # x / divisor at every point
+
+
+def sector(diag: ViolationDiagonal, variant: str, x, z) -> Sector:
+    """``build(diag, (x, z), variant)`` on the histogram of ``diag``, at finite points broadcast and flattened."""
+
+    x, z = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(z, dtype=np.float64))
+    x, z = x.reshape(-1), z.reshape(-1)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        raise ValueError("parameter points must be finite")
+    factor, divisor = variant_scales(variant, diag.dimension)
+    hist = diag.histogram
+    return Sector(factor * hist.values.astype(np.float64), hist.counts, z / 4.0, x / divisor)
 
 
 def restrict(diag: ViolationDiagonal, mask: SubspaceMask | slice) -> ViolationDiagonal:

@@ -80,7 +80,7 @@ class LoopPath:
             if _segment_hits_origin(a, b):
                 raise ValueError("loop passes through (0, 0), where the spectrum can touch")
         s = self.samples_per_edge
-        if not isinstance(s, numbers.Integral) or s < 1:
+        if not isinstance(s, numbers.Integral) or isinstance(s, bool) or s < 1:
             raise ValueError(f"samples_per_edge must be an integer of at least 1, not {s!r}")
         object.__setattr__(self, "waypoints", pts)
         object.__setattr__(self, "samples_per_edge", int(s))

@@ -113,9 +113,9 @@ class ViolationDiagonal:
         n = self.n_vars
         if n is None and arr.size & (arr.size - 1) == 0:
             n = int(arr.size).bit_length() - 1
-        if n is not None and 2**n != arr.size:
-            raise IndexOutOfRange(f"n_vars={n} does not match {arr.size} entries")
-        object.__setattr__(self, "n_vars", n)
+        if n is not None and (not isinstance(n, numbers.Integral) or isinstance(n, bool) or 2**n != arr.size):
+            raise IndexOutOfRange(f"n_vars={n!r} is not the integer log2 of {arr.size} entries")
+        object.__setattr__(self, "n_vars", None if n is None else int(n))
 
     @property
     def dimension(self) -> int:

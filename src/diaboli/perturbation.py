@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegenerateUnperturbed
 from .eigensolver import all_levels, min_gap_on_segment
 from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
-from .hamiltonian import ParameterPoint, variant_scales
+from .hamiltonian import ParameterPoint, sector
 from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .instance import ViolationDiagonal
 
@@ -59,18 +59,11 @@ class GapComparison:
     abs_error: float | None
 
 
-def _group_body(
-    diag: ViolationDiagonal, point: ParameterPoint, variant: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct body levels at ``x = 0``, ascending, with their multiplicities.
+def _group_body(diag: ViolationDiagonal, point: ParameterPoint, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct body levels, ascending, with their multiplicities: the very floats ``build`` puts on the diagonal."""
 
-    One level per distinct violation count, from the exact histogram; the
-    levels are the very floats ``build`` puts on the diagonal.
-    """
-
-    factor, _ = variant_scales(variant, diag.dimension)
-    values, counts, _ = diag.histogram
-    return point.z / 4.0 + factor * values.astype(np.float64), counts
+    poles, counts, quarter, _ = sector(diag, variant, point.x, point.z)
+    return quarter + poles, counts
 
 
 def second_order(diag: ViolationDiagonal, z: float, variant: str = "unscaled") -> GapPrediction:

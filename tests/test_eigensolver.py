@@ -84,6 +84,42 @@ def test_zero_border_returns_sorted_diagonal():
     np.testing.assert_allclose(spec.eigenvalues, [-1.0, 0.5, 1.5, 2.0])
 
 
+def bits(values) -> bytes:
+    """Oracle key: the exact float64 bit patterns, so -0.0 and 0.0 differ."""
+
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-160], ids=["x=0", "x-squared-subnormal"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_flat_points_give_the_sorted_diagonal_bit_for_bit(variant, x):
+    # z = 0 ties the head -0.0 with a zero count's +0.0, and z = -2 ties it
+    # with the count-1 level under the unit scales; the body comes first.
+    zs = np.array([-2.0, -0.7, 0.0, 1.0])
+    for diag in (
+        worst_case_diagonal(3, 5),
+        worst_case_diagonal(3, None),
+        ViolationDiagonal(np.array([0, 2, 0, 1, 3, 0, 1, 2])),
+        violation_diagonal(random_instance(6, 25, 2)),  # G + 1 = 9
+    ):
+        low = lowest_levels(diag, variant, x, zs)
+        values, repeats = all_levels(diag, variant, x, zs).runs()
+        k0 = diag.histogram.counts[0]
+        for p, z in enumerate(zs.tolist()):
+            ham = build(diag, ParameterPoint(x, z), variant)
+            full = np.append(ham.body_diag, ham.head_diag)
+            order = np.argsort(full, kind="stable")
+            exact = full[order]
+            assert bits(eigen_arrowhead(ham).eigenvalues) == bits(exact)
+            assert bits(np.repeat(values[p], repeats)) == bits(exact)
+            assert bits([low.e0[p], low.e1[p], low.gap[p]]) == bits([exact[0], exact[1], exact[1] - exact[0]])
+            body_first = order[0] < diag.dimension
+            want = np.zeros(diag.histogram.values.size)
+            want[0] = 1.0 / np.sqrt(k0) if body_first else 0.0
+            assert bits(low.amplitudes[p]) == bits(want)
+            assert bits([low.head[p]]) == bits([0.0 if body_first else 1.0])
+
+
 def test_interlacing_and_trace():
     rng = np.random.default_rng(55)
     for _ in range(20):

@@ -120,7 +120,7 @@ def test_loop_through_origin_is_rejected():
 
 def test_samples_per_edge_must_be_an_integer():
     # 1.5 samples per edge would sample past each edge's end, off the loop
-    for bad in (1.5, 2.0, "4"):
+    for bad in (1.5, 2.0, "4", True):
         with pytest.raises(ValueError):
             LoopPath.default_rectangle(samples_per_edge=bad)
     path = LoopPath.default_rectangle(samples_per_edge=np.int64(4))

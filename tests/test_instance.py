@@ -215,8 +215,10 @@ def test_histogram_groups_counts_exactly():
 def test_diagonal_infers_n_vars_only_for_power_of_two():
     assert ViolationDiagonal(np.array([0, 1, 1, 1])).n_vars == 2
     assert ViolationDiagonal(np.array([0, 1, 1])).n_vars is None
-    with pytest.raises(IndexOutOfRange):
-        ViolationDiagonal(np.array([0, 1, 2]), n_vars=2)
+    for entries, n_vars in (([0, 1, 2], 2), ([0, 1], True), ([0, 1, 1, 1], 2.0)):
+        with pytest.raises(IndexOutOfRange):
+            ViolationDiagonal(np.array(entries), n_vars=n_vars)
+    assert type(ViolationDiagonal(np.array([0, 1, 1, 1]), n_vars=np.int64(2)).n_vars) is int
     with pytest.raises(IndexOutOfRange):
         ViolationDiagonal(np.array([-1, 0]))
     for fractional in ([0.5, 1.7], [0.0, np.nan], [1.0, np.inf]):

@@ -1,5 +1,7 @@
 """The package's public names."""
 
+from pathlib import Path
+
 import pytest
 
 import diaboli
@@ -21,3 +23,11 @@ def test_removed_names_are_gone():
         assert not hasattr(ham, member), member
     with pytest.raises(TypeError):
         diaboli.eigen_arrowhead(ham, want_ground_vector=True)
+    with pytest.raises(TypeError):
+        diaboli.Schedule(total_time=10.0, min_speed_fraction=0.05)
+
+
+def test_only_hamiltonian_decides_the_variant_scaling():
+    package = Path(diaboli.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py") if "variant_scales" in p.read_text())
+    assert users == ["hamiltonian.py"]
