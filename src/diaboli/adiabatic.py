@@ -9,15 +9,14 @@ therefore conserved structurally and only monitored, never restored.
 The evolution runs in the symmetric sector: the start state is uniform on
 each violation-count group, and the operator maps such states to such
 states, so the state lives in the ``G + 1`` dimensions spanned by the
-group-uniform states and the head.  Its matrices are built from
-``hamiltonian.sector``, which decides the variant scaling; at ``x = 0``
-they are diagonal.  The midpoint operators of a traversal are diagonalized
-by one stacked ``numpy.linalg.eigh``, whose levels also give the
-``gap_adaptive`` gaps (outside the sector lie only the levels
-``z/4 + s * u_g``; the lowest is ``e1`` when ``k_0 > 1``).  Small sectors
-propagate in blocks of step unitaries, larger ones step through each
-midpoint eigenbasis.  The final state is spread over the ``2**n`` entries
-at the end, so the cost is set by ``G``, not ``2**n``.
+group-uniform states and the head.  The step midpoints are solved a chunk
+at a time by ``all_levels``: its roots are the sector's levels, its
+``level(1) - level(0)`` gives the ``gap_adaptive`` gaps, and
+``AllLevels.vectors`` gives the sector's eigenvectors in closed form from
+the same solve.  Small sectors propagate in blocks of step unitaries,
+larger ones step through each midpoint eigenbasis.  The final state is
+spread over the ``2**n`` entries at the end, so the cost is set by ``G``,
+not ``2**n``.
 
 Two speed profiles are provided: ``uniform`` covers equal arc length per
 unit time, and ``gap_adaptive`` moves at a rate proportional to the
@@ -36,16 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormDrift, ScheduleInvalid
-from .eigensolver import lowest_levels
+from .eigensolver import all_levels, lowest_levels
 from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
-from .hamiltonian import sector
 from .holonomy import LoopPath
 from .instance import ViolationDiagonal
 
 PROFILES = ("uniform", "gap_adaptive")
 NORM_TOLERANCE = 1e-6
-_BATCH_ENTRIES = 1 << 18  # matrix entries per stacked eigh batch
+_BATCH_ENTRIES = 1 << 16  # secular working set per chunk of midpoints: steps x (G + 1) roots x G poles
 _SMALL_SECTOR = 8  # largest G + 1 whose (G+1)**3 unitary per step costs less than the calls blocks save
 _MIN_SPEED_FRACTION = 0.05  # gap_adaptive speed floor, relative to the mean speed
 
@@ -133,22 +131,6 @@ def _step_durations(gaps: np.ndarray | None, schedule: Schedule) -> np.ndarray:
     return durations * (schedule.total_time / float(durations.sum()))
 
 
-def _sector_operators(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Stacked ``(G+1)``-dim matrices of the operator on the group-uniform states and the head.
-
-    Group ``g``'s uniform state couples to the head through ``border * sqrt(k_g)``.
-    """
-
-    poles, counts, quarter, border = sector(diag, variant, x, z)
-    g = poles.size
-    mats = np.zeros((quarter.size, g + 1, g + 1))
-    idx = np.arange(g)
-    mats[:, idx, idx] = quarter[:, None] + poles
-    mats[:, g, g] = -quarter
-    mats[:, idx, g] = mats[:, g, idx] = border[:, None] * np.sqrt(counts.astype(np.float64))
-    return mats
-
-
 def _propagate(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``u[j] @ ... @ u[0] @ psi`` to ``out[j]`` for every step ``j``; return the last state.
 
@@ -183,21 +165,13 @@ def evolve(
     loop = _ArcLengthLoop(path)
     steps = schedule.steps
     s_edges = np.linspace(0.0, 1.0, steps + 1)
-    s_mid = 0.5 * (s_edges[:-1] + s_edges[1:])
-    x_mid, z_mid = loop.points_at(s_mid)
+    x_mid, z_mid = loop.points_at(0.5 * (s_edges[:-1] + s_edges[1:]))
     hist = diag.histogram
     dim = hist.values.size + 1
-    chunk = max(1, _BATCH_ENTRIES // dim**2)
-    # While every midpoint fits one batch, its stacked eigh gives the gaps too;
-    # past that, a second eigh for them would cost O((G+1)**3) a point.
-    spectra = gaps = None
-    if steps <= chunk:
-        mats = _sector_operators(diag, variant, x_mid, z_mid)
-        spectra = w, _ = np.linalg.eigh(mats)
-        gaps = (mats[:, 0, 0] if hist.counts[0] > 1 else w[:, 1]) - w[:, 0]
-    elif schedule.speed_profile == "gap_adaptive":
-        gaps = lowest_levels(diag, variant, x_mid, z_mid).gap
-    durations = _step_durations(gaps, schedule)
+    chunk = max(1, _BATCH_ENTRIES // (dim * (dim - 1)))
+    starts = range(0, steps, chunk)
+    solves = [all_levels(diag, variant, x_mid[start : start + chunk], z_mid[start : start + chunk]) for start in starts]
+    durations = _step_durations(np.concatenate([levels.level(1) - levels.level(0) for levels in solves]), schedule)
 
     # Ground levels and states at the step edges, in sector coordinates.  The
     # log's e1 takes its own solve, so logging cannot move e0 by a last bit.
@@ -210,12 +184,11 @@ def evolve(
     # states[j] is the state after j steps.
     states = np.empty((steps + 1, dim), dtype=np.complex128)
     psi = states[0] = grounds[0]
-    for start in range(0, steps, chunk):
-        stop = min(start + chunk, steps)
-        w, v = spectra or np.linalg.eigh(_sector_operators(diag, variant, x_mid[start:stop], z_mid[start:stop]))
-        phases = np.exp(-1j * w * durations[start:stop, None])
+    for start, levels in zip(starts, solves):
+        v = levels.vectors()
+        phases = np.exp(-1j * levels.roots * durations[start : start + chunk, None])
         if dim <= _SMALL_SECTOR:
-            psi = _propagate(np.einsum("pij,pj,pkj->pik", v, phases, v), psi, states[start + 1 : stop + 1])
+            psi = _propagate(np.einsum("pij,pj,pkj->pik", v, phases, v), psi, states[start + 1 : start + chunk + 1])
         else:  # no (G+1)**3 unitary per step: each step goes through its eigenbasis and back
             for j, (basis, phase) in enumerate(zip(v, phases), start + 1):
                 psi = states[j] = basis @ (phase * (psi @ basis))

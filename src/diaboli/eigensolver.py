@@ -22,19 +22,20 @@ secular function by its tangent, and fall back to halving the bracket
 when they leave it, until a step is within a few ulps of the offset; a
 root still open when the step budget runs out raises
 ``ConvergenceFailure``.  Differences between poles are exact, so the
-distance from the root ``lam0 = sigma + tau`` to each body value keeps
-its relative accuracy however close the root lies to a pole, and the
-ground eigenvector follows in closed form:
+distance from a root ``lam = sigma + tau`` to each body value keeps its
+relative accuracy however close the root lies to a pole, and the root's
+eigenvector follows in closed form:
 
     v[i] = b / (tau - (d[i] - sigma)),   v[head] = 1,   then normalize.
 
-``lowest_levels`` serves the loop transport, gap scans and evolution
-schedules: on a violation diagonal's exact histogram (``hamiltonian.sector``)
-it solves only the two lowest roots, for a whole batch of parameter points
-at once, returning the ground vector as one amplitude per group.
-``all_levels`` solves all ``G + 1`` roots for the spectrum sweeps and keeps
-the spectrum run-length encoded, since each body level repeats ``k_g - 1``
-times.  ``eigen_arrowhead`` returns the whole spectrum of any one arrowhead
+``lowest_levels`` serves the loop transport, gap scans and evolution edges:
+on a violation diagonal's exact histogram (``hamiltonian.sector``) it
+solves only the two lowest roots, for a whole batch of parameter points at
+once, returning the ground vector as one amplitude per group.
+``all_levels`` solves all ``G + 1`` roots for the spectrum sweeps and the
+evolution steps, keeping the spectrum run-length encoded (each body level
+repeats ``k_g - 1`` times) and the eigenvector of each root by the same
+formula.  ``eigen_arrowhead`` returns the whole spectrum of any one arrowhead
 matrix, its body grouped to float tolerance.  All three go through
 ``_sector_roots``, which holds the one rule for a border too small to
 couple (``x = 0``): the roots are the stable-sorted diagonal, body first on
@@ -45,7 +46,7 @@ ties.  ``eigen_dense`` provides the independent cross-check through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -260,7 +261,8 @@ def _sector_roots(sec: Sector, head: np.ndarray, count: int) -> tuple[np.ndarray
     ``z/4 + poles``, then ``head``, so the body comes first on ties.
     Elsewhere root ``j`` is ``z/4 + (origin + offset)``, solved in the frame
     ``mu = lam - z/4`` where the poles do not move; ``origin`` and ``offset``
-    cover only those points, which ``live`` marks.
+    cover only those points, which ``live`` indexes (a boolean mask would
+    scatter rows several times slower).
     """
 
     poles, counts, quarter, border = sec
@@ -269,12 +271,23 @@ def _sector_roots(sec: Sector, head: np.ndarray, count: int) -> tuple[np.ndarray
     if flat.any():
         diagonal = np.concatenate((quarter[flat][:, None] + poles, head[flat][:, None]), axis=1)
         roots[flat] = np.sort(diagonal, axis=1, kind="stable")[:, :count]
-    live = ~flat
+    live = np.flatnonzero(~flat)
     origin, offset = _leftmost_roots(
         poles, counts.astype(np.float64), int(counts.sum()), border[live], head[live] - quarter[live], count
     )
     roots[live] = quarter[live][:, None] + (origin + offset)
     return roots, origin, offset, live
+
+
+def _secular_vectors(sec: Sector, border, origin, offset) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group and head amplitudes of each root's eigenvector, normalized over the ``k_g``-fold body."""
+
+    a = border[..., None] / (offset[..., None] - (sec.poles - origin[..., None]))
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=-1))  # a near pole can make a*a overflow
+    a /= scale[..., None]
+    h = 1.0 / scale
+    norm = np.sqrt((a * a) @ sec.counts.astype(np.float64) + h * h)
+    return a / norm[..., None], h / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,21 +336,12 @@ def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.nd
     elif _roots > 1:
         gap[live] = (origin[:, 1] - s0) + (offset[:, 1] - t0)
 
+    # The flat ground vector at every point; the solve overwrites the live ones.
     amplitudes = np.zeros((e0.size, poles.size))
-    head = np.zeros(e0.size)
-    flat = ~live
-    if flat.any():
-        below = quarter[flat] + poles[0] <= -quarter[flat]  # the stable sort puts the body first on ties
-        amplitudes[flat, 0] = np.where(below, 1.0 / math.sqrt(counts[0]), 0.0)
-        head[flat] = np.where(below, 0.0, 1.0)
-    # mu0 - u_g = offset - (u_g - origin), and pole differences are exact.
-    a = border[live][:, None] / (t0[:, None] - (poles - s0[:, None]))
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=1))  # a near pole can make a*a overflow
-    a /= scale[:, None]
-    h = 1.0 / scale
-    norm = np.sqrt((a * a) @ counts.astype(np.float64) + h * h)
-    amplitudes[live] = a / norm[:, None]
-    head[live] = h / norm
+    below = quarter + poles[0] <= -quarter  # the stable sort puts the body first on ties
+    amplitudes[:, 0] = np.where(below, 1.0 / math.sqrt(counts[0]), 0.0)
+    head = np.where(below, 0.0, 1.0)
+    amplitudes[live], head[live] = _secular_vectors(sec, border[live], s0, t0)
     return LowestLevels(e0=e0, e1=e1, gap=gap, amplitudes=amplitudes, head=head)
 
 
@@ -356,6 +360,25 @@ class AllLevels:
     roots: np.ndarray  # (points, groups + 1)
     levels: np.ndarray  # (points, groups)
     counts: np.ndarray  # k_g
+    _solve: tuple = field(repr=False)  # the sector, and origin, offset and live of _sector_roots
+
+    def vectors(self) -> np.ndarray:
+        """Eigenvectors of the symmetric sector, ``(points, G + 1, G + 1)``, column ``j`` for ``roots[:, j]``.
+
+        Rows are the normalized uniform states of the count groups, then the
+        head.  At a flat point the columns stably sort the diagonal, as the roots do.
+        """
+
+        sec, origin, offset, live = self._solve
+        vectors = np.zeros(self.roots.shape + self.roots.shape[1:])
+        flat = np.ones(len(vectors), dtype=bool)
+        flat[live] = False
+        if flat.any():
+            order = np.argsort(np.concatenate((self.levels[flat], -sec.quarter[flat][:, None]), axis=1), kind="stable")
+            vectors[flat] = np.swapaxes(np.eye(self.roots.shape[1])[order], 1, 2)
+        amplitudes, vectors[live, -1] = _secular_vectors(sec, sec.border[live][:, None], origin, offset)
+        vectors[live, :-1] = np.swapaxes(amplitudes, 1, 2) * np.sqrt(self.counts.astype(np.float64))[:, None]
+        return vectors
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """Values ``(points, 2G + 1)`` and how often each column repeats in the spectrum."""
@@ -383,12 +406,12 @@ def all_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarr
     All ``G + 1`` secular roots of every point are solved together by the
     batched solve behind ``lowest_levels``, and flat points take its
     sorted diagonal; the other eigenvalues are the body levels repeated
-    ``k_g - 1`` times.
+    ``k_g - 1`` times.  The solve is kept for ``AllLevels.vectors``.
     """
 
     sec = sector(diag, variant, x, z)
-    roots = _sector_roots(sec, -sec.quarter, sec.poles.size + 1)[0]
-    return AllLevels(roots=roots, levels=sec.quarter[:, None] + sec.poles, counts=sec.counts)
+    roots, *solve = _sector_roots(sec, -sec.quarter, sec.poles.size + 1)
+    return AllLevels(roots=roots, levels=sec.quarter[:, None] + sec.poles, counts=sec.counts, _solve=(sec, *solve))
 
 
 _GAP_TOL = 1e-6  # a zoom stops once its bracket is this narrow in the swept parameter

@@ -210,7 +210,8 @@ def berry_phase(
     bisects each weak step as it meets it.  The failure that walk meets
     first is raised: a sub-floor gap at the start point or at a segment's
     end point (``DegenerateOnLoop``), or a segment whose overlap is still
-    below ``OVERLAP_FLOOR`` (``RefinementExhausted``).
+    below ``OVERLAP_FLOOR`` (``RefinementExhausted``).  A midpoint on x = 0, up
+    to the rounding of the samples, moves half a step on, as a sample does.
     """
 
     if path is None:
@@ -219,6 +220,7 @@ def berry_phase(
     n = xs.size
     pts = _Points(diag, variant)
     pts.add(xs, zs)
+    axis_tol = np.finfo(np.float64).eps * float(np.max(np.abs(xs)))
 
     left = np.arange(n - 1)
     right = left + 1
@@ -231,7 +233,9 @@ def berry_phase(
         if not split.any():
             break
         a, b = left[split], right[split]
-        mid = pts.add(0.5 * (pts.x[a] + pts.x[b]), 0.5 * (pts.z[a] + pts.z[b]))
+        x, z = 0.5 * (pts.x[a] + pts.x[b]), 0.5 * (pts.z[a] + pts.z[b])
+        on_axis = (np.abs(x) <= axis_tol) & (pts.x[a] != pts.x[b])
+        mid = pts.add(np.where(on_axis, 0.5 * (x + pts.x[b]), x), np.where(on_axis, 0.5 * (z + pts.z[b]), z))
         # A split segment is repeated in its place: the first copy ends at
         # the midpoint, the second starts there.
         first = np.flatnonzero(split) + np.arange(mid.size)

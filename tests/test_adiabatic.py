@@ -9,6 +9,7 @@ import pytest
 import diaboli.adiabatic as adiabatic
 from diaboli import (
     VARIANTS,
+    AllLevels,
     LoopPath,
     NormDrift,
     ParameterPoint,
@@ -180,13 +181,12 @@ def test_evolution_runs_past_the_dense_size_cap():
 
 
 def test_norm_drift_raises(monkeypatch):
-    eigh = np.linalg.eigh
+    vectors = AllLevels.vectors
 
-    def stretched(a):
-        w, v = eigh(a)
-        return w, v * (1.0 + 1e-5)
+    def stretched(levels):
+        return vectors(levels) * (1.0 + 1e-5)
 
-    monkeypatch.setattr(np.linalg, "eigh", stretched)
+    monkeypatch.setattr(AllLevels, "vectors", stretched)
     with pytest.raises(NormDrift, match="norm drifted"):
         evolve(worst_case_diagonal(3, 0), "unscaled", RECT, Schedule(50.0, steps=100))
 
@@ -237,7 +237,7 @@ def sector_diagonals():
 def test_blocked_evolution_matches_the_step_loop(profile, steps):
     # Odd step counts put a midpoint on x = 0, where the sector is diagonal.
     # G + 1 = 12 exceeds _SMALL_SECTOR, so the eigenbasis step loop runs too;
-    # at 2003 steps it spans two chunks and takes its gaps from lowest_levels.
+    # at 2003 steps it spans five chunks.
     schedule = Schedule(200.0, profile, steps=steps)
     for variant in VARIANTS:
         for diag in sector_diagonals():
@@ -255,8 +255,9 @@ def test_chunked_evolution_matches_one_chunk(monkeypatch, profile):
     schedule = Schedule(200.0, profile, steps=1001)
     for diag in sector_diagonals()[:3]:
         whole = evolve(diag, "unscaled", RECT, schedule)
-        # 60-step chunks: the gaps come from lowest_levels, and each chunk ends in a part block.
-        monkeypatch.setattr(adiabatic, "_BATCH_ENTRIES", 60 * (diag.histogram.values.size + 1) ** 2)
+        # 60-step chunks, each of which ends in a part block.
+        groups = diag.histogram.values.size
+        monkeypatch.setattr(adiabatic, "_BATCH_ENTRIES", 60 * (groups + 1) * groups)
         chunked = evolve(diag, "unscaled", RECT, schedule)
         monkeypatch.undo()
         np.testing.assert_allclose(chunked.final_state, whole.final_state, rtol=0, atol=1e-12)
@@ -280,9 +281,9 @@ def test_log_collection_leaves_the_traversal_bit_identical():
 
 
 def test_large_sector_evolution_builds_no_unitaries():
-    # G = 43: 135 steps per stacked eigh, so the gaps come from lowest_levels,
-    # and each step goes through its eigenbasis instead of a 44 x 44 unitary.
-    # Building every chunk's unitaries peaked at 20.9 MiB here.
+    # G = 43: 34 steps per chunk, and each step goes through its eigenbasis
+    # instead of a 44 x 44 unitary.  Building every chunk's unitaries peaked
+    # at 20.9 MiB here.
     diag = violation_diagonal(random_instance(16, 300, np.random.default_rng(5)))
     assert diag.histogram.values.size == 43
     tracemalloc.start()

@@ -276,6 +276,49 @@ def test_all_levels_match_dense_at_random_points(variant):
             levels.level(2**n + 1)
 
 
+def projected_sector(diag, variant, x, z):
+    """Oracle: ``build`` projected onto the normalized uniform state of each count group and the head."""
+
+    ham = build(diag, ParameterPoint(x, z), variant)
+    hist = diag.histogram
+    groups = np.arange(hist.values.size)
+    mat = np.zeros((groups.size + 1, groups.size + 1))
+    mat[hist.inverse, hist.inverse] = ham.body_diag  # equal within a group
+    mat[groups, -1] = mat[-1, groups] = ham.border * np.sqrt(hist.counts)
+    mat[-1, -1] = ham.head_diag
+    return mat
+
+
+def test_sector_eigenpairs_match_eigh_of_the_projected_sector():
+    rng = np.random.default_rng(2718)
+    diagonals = (
+        worst_case_diagonal(3, 5),  # k_0 = 1
+        ViolationDiagonal(np.array([0, 2, 0, 1, 3, 0, 1, 2])),  # k_0 = 3
+        violation_diagonal(random_instance(6, 40, 0)),  # G = 11
+        violation_diagonal(random_instance(16, 300, np.random.default_rng(5))),  # G = 43; z_scaled poles at 2**16 u_g
+    )
+    for diag in diagonals:
+        groups = diag.histogram.values.size
+        for variant in VARIANTS:
+            xs = np.concatenate((rng.uniform(-1.5, 1.5, size=6), [0.0, -0.0, 1e-12, -1e-12, 1e-8]))
+            zs = rng.uniform(-1.5, 1.5, size=xs.size)
+            levels = all_levels(diag, variant, xs, zs)
+            vectors = levels.vectors()
+            for p, (x, z) in enumerate(zip(xs.tolist(), zs.tolist())):
+                mat = projected_sector(diag, variant, x, z)
+                w, v = np.linalg.eigh(mat)
+                scale = max(1.0, float(np.max(np.abs(mat))))
+                np.testing.assert_allclose(levels.roots[p], w, rtol=0, atol=1e-13 * scale)
+                residual = mat @ vectors[p] - vectors[p] * levels.roots[p]
+                np.testing.assert_allclose(residual, 0.0, rtol=0, atol=1e-13 * scale)
+                np.testing.assert_allclose(vectors[p].T @ vectors[p], np.eye(groups + 1), rtol=0, atol=1e-13)
+                # eigh's own vectors are good to about its backward error over the level spacing
+                # (1.2e-13 at G = 43, unscaled, against mpmath); the closed form's are within 1e-15.
+                spread = (groups + 1) * np.finfo(np.float64).eps * scale / np.min(np.diff(w))
+                signs = np.sign(np.sum(v * vectors[p], axis=0))
+                np.testing.assert_allclose(vectors[p] * signs, v, rtol=0, atol=1e-13 + spread)
+
+
 def mp_secular_root(mp, poles, k, b, head, j, start):
     """Root j of head - mu - sum(b^2 k / (poles - mu)) by safeguarded Newton in mpmath.
 

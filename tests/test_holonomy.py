@@ -175,6 +175,18 @@ def test_axis_crossings_are_nudged_for_multi_solution_instances():
     assert result.holonomy_sign == -1
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_midpoints_on_the_axis_are_moved_off_it(variant):
+    # With an odd number of samples per edge, the step across x = 0 at z = -1
+    # is bisected; its midpoint rounds to x = -5.6e-17 at 7 samples and is
+    # exactly 0 at 9, where a repeated zero count's ground level is degenerate.
+    for args in ((6, 25, 2), (4, 6, 1), (12, 51, 3)):
+        diag = violation_diagonal(random_instance(*args))
+        assert diag.histogram.values[0] == 0 and diag.histogram.counts[0] > 1
+        for samples in (7, 9):
+            assert berry_phase(diag, variant, LoopPath.default_rectangle(samples)).holonomy_sign == -1
+
+
 def test_depth_cap_below_the_overlap_floor_raises(monkeypatch):
     diag = worst_case_diagonal(7, solution_index=0)
     coarse = LoopPath.default_rectangle(samples_per_edge=4)
@@ -229,6 +241,10 @@ def test_transport_csv_needs_a_log():
     assert lines[-1].split(",")[-1] in {"-1", "1"}
 
 
+class FloorTie(Exception):
+    """The dense walk met a step whose overlap is ``OVERLAP_FLOOR`` up to rounding."""
+
+
 def dense_walk(diag, variant, path):
     """Oracle: walk the loop over eigen_dense, bisecting each weak step as it is met."""
 
@@ -246,6 +262,8 @@ def dense_walk(diag, variant, path):
         found = solve(target)
         overlap = float(vector @ found)
         if abs(overlap) >= holonomy.REFINE_TRIGGER or depth >= holonomy.MAX_REFINE_DEPTH:
+            if abs(abs(overlap) - holonomy.OVERLAP_FLOOR) <= 1e-12:
+                raise FloorTie(f"near (x={target.x:.6g}, z={target.z:.6g})")
             if abs(overlap) < holonomy.OVERLAP_FLOOR:
                 raise RefinementExhausted(
                     f"near (x={target.x:.6g}, z={target.z:.6g}) "
@@ -256,10 +274,13 @@ def dense_walk(diag, variant, path):
             log.append((target.x, target.z, overlap, tally["flips"]))
             return -found if overlap < 0.0 else found
         mid = ParameterPoint(0.5 * (start.x + target.x), 0.5 * (start.z + target.z))
+        if abs(mid.x) <= axis_tol and start.x != target.x:  # on x = 0 up to rounding: half a step on
+            mid = ParameterPoint(0.5 * (mid.x + target.x), 0.5 * (mid.z + target.z))
         tally["refined"] += 1
         return advance(mid, advance(start, vector, mid, depth + 1), target, depth + 1)
 
     points = path.sample_points()
+    axis_tol = np.finfo(np.float64).eps * max(abs(point.x) for point in points)
     first = vector = solve(points[0])
     for start, target in zip(points, points[1:]):
         vector = advance(start, vector, target, 0)
@@ -295,8 +316,8 @@ def test_batched_transport_matches_a_dense_walk(variant, monkeypatch):
         paths = [_COARSE] + ([LoopPath.default_rectangle(), _FROM_BELOW, _ONE_STEP] if n <= 6 else [])
         _compare_with_dense_walks(variant, n, rng, paths)
     # Depth caps of 1 and 2 leave segments below the overlap floor deeper
-    # than depth 0; one sample per edge puts a midpoint on the degenerate
-    # half-axis x = 0, z < 0 of a multi-solution diagonal.
+    # than depth 0; one sample per edge puts a midpoint on the half-axis
+    # x = 0, z < 0, degenerate for a multi-solution diagonal, and moves it off.
     for cap in (1, 2):
         monkeypatch.setattr(holonomy, "MAX_REFINE_DEPTH", cap)
         for n in range(1, 7):
@@ -314,6 +335,15 @@ def _compare_with_dense_walks(variant, n, rng, paths):
                 # the message names the point where the walk fails, and the depth
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
                     berry_phase(diag, variant, path)
+                continue
+            except FloorTie as tie:
+                # Either side of the floor is right: the walk fails there or keeps the step.
+                try:
+                    got = berry_phase(diag, variant, path)
+                except RefinementExhausted as exc:
+                    assert f"0.500 {tie}" in str(exc), where
+                else:
+                    assert got.min_transport_overlap == pytest.approx(holonomy.OVERLAP_FLOOR, rel=0, abs=1e-12), where
                 continue
             got = berry_phase(diag, variant, path, collect_log=True)
             assert (got.holonomy_sign, got.refined_points) == want[:2], where
