@@ -158,8 +158,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         stream.write("x,z," + names + ",gap01\n")
         for x, z, row, gap in zip(xs.tolist(), zs.tolist(), runs.tolist(), gaps.tolist()):
             # Each distinct value is formatted once; a deflated body level repeats its string.
-            eigs = ",".join(",".join([f"{e:.17g}"] * r) for e, r in zip(row, counts) if r)
-            stream.write(f"{x:.17g},{z:.17g},{eigs},{gap:.17g}\n")
+            eigs = "".join(f"{e:.17g}," * r for e, r in zip(row, counts))
+            stream.write(f"{x:.17g},{z:.17g},{eigs}{gap:.17g}\n")
     return 0
 
 

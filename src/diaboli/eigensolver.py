@@ -31,7 +31,8 @@ eigenvector follows in closed form:
 ``lowest_levels`` serves the loop transport, gap scans and evolution edges:
 on a violation diagonal's exact histogram (``hamiltonian.sector``) it
 solves only the two lowest roots, for a whole batch of parameter points at
-once, returning the ground vector as one amplitude per group.
+once, returning the ground vector as one amplitude per group; a point's
+results do not depend on the batch it is solved in, down to the bit.
 ``all_levels`` solves all ``G + 1`` roots for the spectrum sweeps and the
 evolution steps, keeping the spectrum run-length encoded (each body level
 repeats ``k_g - 1`` times) and the eigenvector of each root by the same
@@ -124,6 +125,18 @@ def eigen_dense(ham: ArrowheadHamiltonian, want_ground_vector: bool = True) -> S
     return Spectrum(eigenvalues=w, ground_vector=None)
 
 
+def _pole_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of row-major ``(G, ...)`` terms over the poles, pole after pole, whatever the batch.
+
+    numpy adds such an array down axis 0 one pole at a time while each pole
+    holds two or more entries, but sums a lone entry per pole pairwise;
+    accumulating keeps that case in the same order, so a point's results
+    do not depend on the batch it is solved in.
+    """
+
+    return terms.sum(axis=0) if terms[0].size > 1 else np.add.accumulate(terms, axis=0)[-1]
+
+
 def _leftmost_roots(
     poles: np.ndarray, k: np.ndarray, size: int, border: np.ndarray, head: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +185,7 @@ def _leftmost_roots(
         # bracket, and with it the origin: the pole at that end of the bracket.
         dist = poles[:, None] - split
         terms = weight / dist
-        value = head - split - terms.sum(axis=0)
+        value = head - split - _pole_sum(terms)
         right = value > 0  # f decreases, so the root lies right of the split
         near = np.where(right, np.repeat(near_right, points), np.repeat(near_left, points))
         origin = np.where(right, np.repeat(origin_right, points), np.repeat(origin_left, points))
@@ -192,7 +205,7 @@ def _leftmost_roots(
         # and never more finely than the smallest normal float.
         floor = np.maximum(np.where(at_pole, 0.0, np.abs(level)), _TINY)
         rest = value + terms[picked]
-        slope = 1.0 + (terms / dist).sum(axis=0) - terms[picked] / dist[picked]
+        slope = 1.0 + _pole_sum(terms / dist) - terms[picked] / dist[picked]
 
         offset = np.empty(rows)
         work = np.arange(rows)
@@ -234,15 +247,17 @@ def _leftmost_roots(
             if live == 0:
                 break
             if live < active.size // 2:
+                # compress keeps (G, rows) arrays row-major, where a[..., active] would
+                # turn them column-major and make numpy sum each column pairwise.
                 (work, tau, lo, hi, level, floor, side, at_pole, near_weight, near_pole, shifted, weight) = (
-                    a[..., active]
+                    np.compress(active, a, axis=-1)
                     for a in (work, tau, lo, hi, level, floor, side, at_pole, near_weight, near_pole, shifted, weight)
                 )
                 active = np.ones(live, dtype=bool)
             dist = shifted - tau
             terms = weight / dist
-            rest = level - tau - terms.sum(axis=0)
-            slope = 1.0 + (terms / dist).sum(axis=0)
+            rest = level - tau - _pole_sum(terms)
+            slope = 1.0 + _pole_sum(terms / dist)
         else:
             raise ConvergenceFailure(
                 f"{int(np.count_nonzero(active))} secular root(s) missed tolerance after "
@@ -280,14 +295,19 @@ def _sector_roots(sec: Sector, head: np.ndarray, count: int) -> tuple[np.ndarray
 
 
 def _secular_vectors(sec: Sector, border, origin, offset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group and head amplitudes of each root's eigenvector, normalized over the ``k_g``-fold body."""
+    """Per-group and head amplitudes of each root's eigenvector, normalized over the ``k_g``-fold body.
 
-    a = border[..., None] / (offset[..., None] - (sec.poles - origin[..., None]))
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=-1))  # a near pole can make a*a overflow
-    a /= scale[..., None]
+    The group amplitudes come group-major, ``(G,) + offset.shape``, so that
+    the norm sums over the groups as ``_pole_sum`` does.
+    """
+
+    poles = sec.poles.reshape((-1,) + (1,) * offset.ndim)
+    a = border / (offset - (poles - origin))
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=0))  # a near pole can make a*a overflow
+    a /= scale
     h = 1.0 / scale
-    norm = np.sqrt((a * a) @ sec.counts.astype(np.float64) + h * h)
-    return a / norm[..., None], h / norm
+    norm = np.sqrt(_pole_sum(a * a * sec.counts.astype(np.float64).reshape(poles.shape)) + h * h)
+    return a / norm, h / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +361,8 @@ def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.nd
     below = quarter + poles[0] <= -quarter  # the stable sort puts the body first on ties
     amplitudes[:, 0] = np.where(below, 1.0 / math.sqrt(counts[0]), 0.0)
     head = np.where(below, 0.0, 1.0)
-    amplitudes[live], head[live] = _secular_vectors(sec, border[live], s0, t0)
+    ground, head[live] = _secular_vectors(sec, border[live], s0, t0)
+    amplitudes[live] = ground.T
     return LowestLevels(e0=e0, e1=e1, gap=gap, amplitudes=amplitudes, head=head)
 
 
@@ -377,7 +398,7 @@ class AllLevels:
             order = np.argsort(np.concatenate((self.levels[flat], -sec.quarter[flat][:, None]), axis=1), kind="stable")
             vectors[flat] = np.swapaxes(np.eye(self.roots.shape[1])[order], 1, 2)
         amplitudes, vectors[live, -1] = _secular_vectors(sec, sec.border[live][:, None], origin, offset)
-        vectors[live, :-1] = np.swapaxes(amplitudes, 1, 2) * np.sqrt(self.counts.astype(np.float64))[:, None]
+        vectors[live, :-1] = np.swapaxes(amplitudes, 0, 1) * np.sqrt(self.counts.astype(np.float64))[:, None]
         return vectors
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:

@@ -14,10 +14,18 @@ Ground vectors are kept as one amplitude per violation-count group plus
 the head amplitude (see ``lowest_levels``), so an overlap is the short sum
 ``sum_g k_g a_g a'_g + h h'`` whatever the size of the diagonal.  All loop
 samples are solved in one batch; segments whose endpoint vectors overlap
-weakly are then bisected level by level, each level's midpoints again in
-one batch, so the transport never jumps across an avoided crossing.  The
-segments stay in walk order throughout, held as arrays of end points,
-depths and overlaps, and each split writes its two halves in its place.
+weakly are then bisected level by level, so the transport never jumps
+across an avoided crossing.  The segments stay in walk order throughout,
+held as arrays of end points, depths and overlaps, and each split writes
+its two halves in its place.
+
+Near a crossing each level splits only a few segments, and one solve costs
+about the same for one point as for dozens.  So a segment that splits
+without a solved midpoint has its whole bisection subtree, a few levels
+deep, solved in one batch (prefetched); later levels read their midpoints
+from it, and a point joins the walk only when the walk reaches it.  A
+point's solve does not depend on its batch, so the walk, its log and its
+errors are bit for bit those of solving each level's midpoints alone.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateOnLoop, OpenLoop, RefinementExhausted
+from .errors import ConvergenceFailure, DegenerateOnLoop, OpenLoop, RefinementExhausted
 from .eigensolver import lowest_levels
 from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .hamiltonian import ParameterPoint
@@ -39,6 +47,12 @@ GAP_FLOOR = 1e-9
 OVERLAP_FLOOR = 0.5
 REFINE_TRIGGER = 0.8
 MAX_REFINE_DEPTH = 22
+# A split segment's bisection subtree is solved this many levels deep in one
+# call, and one call solves at most _PREFETCH_POINTS points (more segments
+# prefetch fewer levels).  One solve costs about as much as 100-150 extra
+# points in it, so a level more pays when the walk is likely to need it.
+_PREFETCH_DEPTH = 6
+_PREFETCH_POINTS = 128
 DEFAULT_SAMPLES_PER_EDGE = 64
 
 _DEFAULT_WAYPOINTS = (
@@ -161,31 +175,95 @@ class BerryResult:
 
 
 class _Points:
-    """Every point solved on one loop, in order of solving."""
+    """Solved points as table rows, in order of adding: x, z, e0, e1, gap, head, then the ground amplitudes."""
 
     def __init__(self, diag: ViolationDiagonal, variant: str) -> None:
         self.diag = diag
         self.variant = variant
         self.weights = diag.histogram.counts.astype(np.float64)
-        self.x = self.z = self.e0 = self.e1 = self.gap = self.head = np.empty(0)
-        self.amplitudes = np.empty((0, self.weights.size))
+        self.table = np.empty((0, 6 + self.weights.size))
 
-    def add(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Solve a batch of points and return their indices."""
+    def _append(self, rows: np.ndarray) -> np.ndarray:
+        first = len(self.table)
+        self.table = np.concatenate((self.table, rows)) if first else rows
+        self.x, self.z, self.e0, self.e1, self.gap, self.head = self.table[:, :6].T
+        self.amplitudes = self.table[:, 6:]
+        return np.arange(first, len(self.table))
+
+    def solve(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Solve a batch of points in one call, append them and return their rows."""
 
         levels = lowest_levels(self.diag, self.variant, x, z)
-        first = self.x.size
-        self.x = np.concatenate((self.x, x))
-        self.z = np.concatenate((self.z, z))
-        self.e0 = np.concatenate((self.e0, levels.e0))
-        self.e1 = np.concatenate((self.e1, levels.e1))
-        self.gap = np.concatenate((self.gap, levels.gap))
-        self.amplitudes = np.concatenate((self.amplitudes, levels.amplitudes))
-        self.head = np.concatenate((self.head, levels.head))
-        return np.arange(first, self.x.size)
+        return self._append(np.column_stack((x, z, levels.e0, levels.e1, levels.gap, levels.head, levels.amplitudes)))
+
+    def take(self, other: "_Points", rows: np.ndarray) -> np.ndarray:
+        """Append rows solved by another table, and return their rows here."""
+
+        return self._append(other.table[rows])
 
     def overlap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (self.amplitudes[a] * self.amplitudes[b]) @ self.weights + self.head[a] * self.head[b]
+
+
+def _subtree_midpoints(ends: np.ndarray, levels: int, axis_tol: float) -> np.ndarray:
+    """Midpoints of each segment's bisection subtree, ``levels`` deep, as ``(2, segments, 2**levels - 1)``.
+
+    ``ends`` holds the x and z of each segment's start and end point,
+    ``(2, segments, 2)``.  Node 0 bisects the segment and node ``j`` has the
+    halves that nodes ``2j + 1`` and ``2j + 2`` bisect.  A midpoint on
+    x = 0, up to the rounding of the samples, moves half a step on, as a
+    sample does.
+    """
+
+    mids = []
+    for level in range(levels):
+        start, end = ends[..., :-1], ends[..., 1:]
+        mid = 0.5 * (start + end)
+        on_axis = (np.abs(mid[0]) <= axis_tol) & (start[0] != end[0])
+        if on_axis.any():
+            mid = np.where(on_axis, 0.5 * (mid + end), mid)
+        mids.append(mid)
+        if level + 1 < levels:
+            # The next level's segments run between these ends and midpoints, in order.
+            grown = np.empty(mid.shape[:2] + (2 * mid.shape[2] + 1,))
+            grown[..., 0::2] = ends
+            grown[..., 1::2] = mid
+            ends = grown
+    return np.concatenate(mids, axis=-1)
+
+
+class _Prefetch(_Points):
+    """Prefetched midpoints that the walk has not reached yet.
+
+    ``children[r]`` holds the rows of the midpoints of row ``r``'s two
+    halves, or -1 below the depth that row's prefetch went to.
+    """
+
+    def __init__(self, diag: ViolationDiagonal, variant: str) -> None:
+        super().__init__(diag, variant)
+        self.children = np.empty((0, 2), dtype=np.int64)
+
+    def fetch(self, walked: _Points, a: np.ndarray, b: np.ndarray, levels: int, axis_tol: float) -> np.ndarray:
+        """Solve the subtrees of segments ``(a, b)`` of ``walked`` in one call, and return the rows of their midpoints.
+
+        A subtree point the walk may never reach can fail to converge; the
+        segments' own midpoints are then solved alone, so a failure surfaces
+        only where the level-by-level walk meets it.
+        """
+
+        x, z = _subtree_midpoints(walked.table[np.stack((a, b), axis=-1), :2].transpose(2, 0, 1), levels, axis_tol)
+        try:
+            rows = self.solve(x.reshape(-1), z.reshape(-1)).reshape(x.shape)
+        except ConvergenceFailure:
+            if levels == 1:
+                raise
+            return self.fetch(walked, a, b, 1, axis_tol)
+        width = x.shape[1]
+        kids = 2 * np.arange(width)[:, None] + np.array([1, 2])
+        self.children = np.concatenate(
+            (self.children, np.where(kids < width, rows[:, :1, None] + kids, -1).reshape(-1, 2))
+        )
+        return rows[:, 0]
 
 
 def berry_phase(
@@ -197,16 +275,19 @@ def berry_phase(
 ) -> BerryResult:
     """Transport the ground vector around a closed loop and read off the sign.
 
-    The segments of the walk are kept in walk order as four arrays: end
-    point indices ``left`` and ``right``, bisection ``depth`` and endpoint
-    ``overlap``.  They start as the steps between loop samples, all solved
-    in one batch.  Then, level by level, every segment whose endpoint
-    vectors overlap by less than ``REFINE_TRIGGER`` in magnitude, below
-    ``MAX_REFINE_DEPTH`` and away from degenerate points, is replaced in
-    place by its two halves; the midpoints of a level are solved in one
-    batch, and only the fresh halves get overlaps.  Whether a segment
-    splits depends on ``|overlap|`` alone, not on the sign carried so far,
-    so this reaches exactly the segments of a walk along the loop that
+    The segments of the walk are kept in walk order as five arrays: end
+    point indices ``left`` and ``right``, bisection ``depth``, endpoint
+    ``overlap`` and the ``cached`` row of a prefetched midpoint.  They
+    start as the steps between loop samples, all solved in one batch.
+    Then, level by level, every segment whose endpoint vectors overlap by
+    less than ``REFINE_TRIGGER`` in magnitude, below ``MAX_REFINE_DEPTH``
+    and away from degenerate points, is replaced in place by its two
+    halves, and only the fresh halves get overlaps.  The midpoints come
+    from prefetched subtrees: the split segments of a level that have none
+    get theirs, ``_PREFETCH_DEPTH`` levels deep and at most
+    ``_PREFETCH_POINTS`` points, in one batch.  Whether a segment splits
+    depends on ``|overlap|`` alone, not on the sign carried so far, so
+    this reaches exactly the segments of a walk along the loop that
     bisects each weak step as it meets it.  The failure that walk meets
     first is raised: a sub-floor gap at the start point or at a segment's
     end point (``DegenerateOnLoop``), or a segment whose overlap is still
@@ -219,28 +300,36 @@ def berry_phase(
     xs, zs = path.sample_coordinates()
     n = xs.size
     pts = _Points(diag, variant)
-    pts.add(xs, zs)
+    pts.solve(xs, zs)
+    cache = _Prefetch(diag, variant)
     axis_tol = np.finfo(np.float64).eps * float(np.max(np.abs(xs)))
 
     left = np.arange(n - 1)
     right = left + 1
     depth = np.zeros(n - 1, dtype=np.int64)
     overlap = pts.overlap(left, right)
+    cached = np.full(n - 1, -1)  # the row in cache of each segment's midpoint, or -1
     while True:
         degenerate = pts.gap <= GAP_FLOOR
         live = ~(degenerate[left] | degenerate[right])
         split = live & (np.abs(overlap) < REFINE_TRIGGER) & (depth < MAX_REFINE_DEPTH)
         if not split.any():
             break
-        a, b = left[split], right[split]
-        x, z = 0.5 * (pts.x[a] + pts.x[b]), 0.5 * (pts.z[a] + pts.z[b])
-        on_axis = (np.abs(x) <= axis_tol) & (pts.x[a] != pts.x[b])
-        mid = pts.add(np.where(on_axis, 0.5 * (x + pts.x[b]), x), np.where(on_axis, 0.5 * (z + pts.z[b]), z))
+        row = cached[split]
+        new = row < 0
+        if new.any():
+            # As many levels as the cap on points allows, and none below the
+            # depth cap; at least the segments' own midpoints.
+            fits = (_PREFETCH_POINTS // int(np.count_nonzero(new)) + 1).bit_length() - 1
+            levels = max(1, min(_PREFETCH_DEPTH, MAX_REFINE_DEPTH - int(depth[split].max()), fits))
+            row[new] = cache.fetch(pts, left[split][new], right[split][new], levels, axis_tol)
+        mid = pts.take(cache, row)
         # A split segment is repeated in its place: the first copy ends at
         # the midpoint, the second starts there.
         first = np.flatnonzero(split) + np.arange(mid.size)
-        left, right, depth, overlap = (np.repeat(v, 1 + split) for v in (left, right, depth, overlap))
+        left, right, depth, overlap, cached = (np.repeat(v, 1 + split) for v in (left, right, depth, overlap, cached))
         right[first] = left[first + 1] = mid
+        cached[first], cached[first + 1] = cache.children[row].T
         fresh = np.concatenate((first, first + 1))
         depth[fresh] += 1
         overlap[fresh] = pts.overlap(left[fresh], right[fresh])

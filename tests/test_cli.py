@@ -11,6 +11,7 @@ import pytest
 from diaboli import (
     VARIANTS,
     ParameterPoint,
+    all_levels,
     build,
     eigen_arrowhead,
     random_instance,
@@ -71,6 +72,24 @@ def test_spectrum_output_is_deterministic(tmp_path, capsys):
     assert run_cli(capsys, *argv, "--out", str(out)) == (0, "")
     assert out.read_bytes() == first.encode()
 
+
+
+def test_spectrum_rows_repeat_each_level_string(tmp_path, capsys):
+    # Rows repeat a formatted value per deflated level; they match joining the
+    # repeated strings one by one, byte for byte.
+    argv = ["spectrum", "wc:n=10,sol=321", "--sweep", "x", "--fixed", "-1", "--range", "0:0.2", "--samples", "7"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    xs = np.linspace(0.0, 0.2, 7)
+    levels = all_levels(worst_case_diagonal(10, 321), "unscaled", xs, np.full(7, -1.0))
+    runs, repeats = levels.runs()
+    assert repeats.max() == 2**10 - 2  # the count-1 level repeats
+    gaps = levels.level(1) - levels.level(0)
+    want = ["x,z," + ",".join(f"e{i}" for i in range(2**10 + 1)) + ",gap01"]
+    for x, row, gap in zip(xs.tolist(), runs.tolist(), gaps.tolist()):
+        eigs = ",".join(",".join([f"{e:.17g}"] * r) for e, r in zip(row, repeats.tolist()) if r)
+        want.append(f"{x:.17g},{-1.0:.17g},{eigs},{gap:.17g}")
+    assert out == "\n".join(want) + "\n"
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_spectrum_csv_matches_per_point_solves(tmp_path, capsys, variant):

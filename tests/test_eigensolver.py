@@ -421,3 +421,29 @@ def test_ground_vector_next_to_a_pole_stays_normalized(mp):
     assert abs(levels.head[0] - 1 / norm) <= 1e-13 / norm  # about 2e-155
     for got, a in zip(levels.amplitudes[0].tolist(), amplitudes):
         assert abs(got - a / norm) <= 1e-13 * abs(a / norm)
+
+
+def test_a_point_solves_alike_alone_or_in_any_batch():
+    # Sums over the poles and the vector norm must not change order with the
+    # number of rows in the call: a point solved alone, within a permuted
+    # subset or within the whole batch gives the same bits.
+    rng = np.random.default_rng(1414)
+    for g in range(1, 44):
+        variant = VARIANTS[g % len(VARIANTS)]
+        counts = rng.integers(1, 4, size=g)
+        counts[0] = 1 + g % 2  # a repeated lowest count leaves one root in lowest_levels
+        entries = rng.permutation(np.repeat(np.arange(g) + g % 3, counts))
+        diag = ViolationDiagonal(entries)
+        assert diag.histogram.values.size == g
+        xs = rng.uniform(-1.5, 1.5, size=11) * 10.0 ** rng.integers(-6, 1, size=11)
+        zs = rng.uniform(-1.5, 1.5, size=11)
+        xs[0] = 0.0  # the diagonal branch
+        subset = rng.permutation(11)[:5]
+        whole = (lowest_levels(diag, variant, xs, zs), all_levels(diag, variant, xs, zs))
+        picks = [np.array([p]) for p in range(11)] + [subset]
+        for pick in picks:
+            low, full = lowest_levels(diag, variant, xs[pick], zs[pick]), all_levels(diag, variant, xs[pick], zs[pick])
+            for name in ("e0", "e1", "gap", "amplitudes", "head"):
+                assert bits(getattr(low, name)) == bits(getattr(whole[0], name)[pick]), (g, name, pick)
+            assert bits(full.roots) == bits(whole[1].roots[pick]), (g, pick)
+            assert bits(full.vectors()) == bits(whole[1].vectors()[pick]), (g, pick)

@@ -10,6 +10,7 @@ import pytest
 import diaboli.holonomy as holonomy
 from diaboli import (
     VARIANTS,
+    ConvergenceFailure,
     DegenerateOnLoop,
     LoopPath,
     OpenLoop,
@@ -355,3 +356,96 @@ def _compare_with_dense_walks(variant, n, rng, paths):
             overlaps = [row.overlap for row in got.log[1:]]
             want_overlaps = [ov for _, _, ov, _ in want[4]]
             np.testing.assert_allclose(overlaps, want_overlaps, rtol=0, atol=1e-12)
+
+
+def _walk_inputs(monkeypatch):
+    """The diagonals and loops of ``test_batched_transport_matches_a_dense_walk``, under the same depth caps."""
+
+    rng = np.random.default_rng(4242)
+    for n in range(1, 9):
+        paths = [_COARSE] + ([LoopPath.default_rectangle(), _FROM_BELOW, _ONE_STEP] if n <= 6 else [])
+        for entries in _draws(n, rng).values():
+            yield ViolationDiagonal(entries), paths
+    for cap in (1, 2):
+        monkeypatch.setattr(holonomy, "MAX_REFINE_DEPTH", cap)
+        for n in range(1, 7):
+            for entries in _draws(n, rng).values():
+                yield ViolationDiagonal(entries), [_COARSE, _ONE_STEP]
+
+
+def _outcome(diag, variant, path):
+    """Every field and log row of a transport, or the failure it raised, in exact reprs."""
+
+    try:
+        return repr(dataclasses.astuple(berry_phase(diag, variant, path, collect_log=True)))
+    except (DegenerateOnLoop, RefinementExhausted) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_prefetched_subtrees_leave_the_walk_bit_identical(variant, monkeypatch):
+    # Depth 0 solves each level's midpoints alone, as a walk without prefetch does.
+    default = holonomy._PREFETCH_DEPTH
+    walks = failures = 0
+    for diag, paths in _walk_inputs(monkeypatch):
+        for path in paths:
+            monkeypatch.setattr(holonomy, "_PREFETCH_DEPTH", 0)
+            alone = _outcome(diag, variant, path)
+            monkeypatch.setattr(holonomy, "_PREFETCH_DEPTH", default)
+            assert _outcome(diag, variant, path) == alone, (diag.entries, path.waypoints[0], holonomy.MAX_REFINE_DEPTH)
+            walks += 1
+            failures += alone.startswith(("DegenerateOnLoop", "RefinementExhausted"))
+    assert walks > failures > 0
+
+
+def test_a_prefetch_that_fails_off_the_walk_falls_back(monkeypatch):
+    diag = worst_case_diagonal(16, 5)
+    result = berry_phase(diag, collect_log=True)
+    walked = {(row.x, row.z) for row in result.log}
+    real = holonomy.lowest_levels
+    batches, raised = [], []
+
+    def solve(diag, variant, x, z):
+        # fails every batch holding a point outside the walk
+        batches.append(set(zip(x.tolist(), z.tolist())))
+        if not batches[-1] <= walked:
+            raised.append(x.size)
+            raise ConvergenceFailure("1 secular root(s) missed tolerance after 64 steps")
+        return real(diag, variant, x, z)
+
+    monkeypatch.setattr(holonomy, "lowest_levels", solve)
+    assert repr(dataclasses.astuple(berry_phase(diag, collect_log=True))) == repr(dataclasses.astuple(result))
+    assert raised
+
+    # A midpoint of the walk's last level still fails it, in that level's own solve.
+    default = holonomy._PREFETCH_DEPTH
+    monkeypatch.setattr(holonomy, "_PREFETCH_DEPTH", 0)
+    batches.clear()
+    berry_phase(diag)
+    walked -= batches[-1]
+    failing = []
+    for depth in (0, default):
+        monkeypatch.setattr(holonomy, "_PREFETCH_DEPTH", depth)
+        raised.clear()
+        with pytest.raises(ConvergenceFailure, match="1 secular root"):
+            berry_phase(diag)
+        failing.append(list(raised))
+    assert len(failing[0]) == 1 and failing[1][-1] == failing[0][0] and len(failing[1]) > 1
+
+
+def test_a_decide_at_n16_takes_a_few_batched_solves(monkeypatch):
+    # Each split segment without a prefetched midpoint has its subtree solved
+    # in one call; the walk it takes is the level-by-level one.
+    real = holonomy.lowest_levels
+    calls = []
+
+    def counted(diag, variant, x, z):
+        calls.append(x.size)
+        return real(diag, variant, x, z)
+
+    monkeypatch.setattr(holonomy, "lowest_levels", counted)
+    for solution, refined in ((12345, 20), (None, 7)):
+        calls.clear()
+        result = berry_phase(worst_case_diagonal(16, solution))
+        assert result.refined_points == refined
+        assert len(calls) <= (4 if solution is not None else 3), calls
