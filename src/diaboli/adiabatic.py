@@ -14,7 +14,8 @@ at a time by ``all_levels``: its roots are the sector's levels, its
 ``level(1) - level(0)`` gives the ``gap_adaptive`` gaps, and
 ``AllLevels.vectors`` gives the sector's eigenvectors in closed form from
 the same solve.  Small sectors propagate in blocks of step unitaries,
-larger ones step through each midpoint eigenbasis.  The final state is
+taken as real matrices on the state's real and imaginary parts; larger
+ones step through each midpoint eigenbasis.  The final state is
 spread over the ``2**n`` entries at the end, so the cost is set by ``G``,
 not ``2**n``.
 
@@ -131,6 +132,22 @@ def _step_durations(gaps: np.ndarray | None, schedule: Schedule) -> np.ndarray:
     return durations * (schedule.total_time / float(durations.sum()))
 
 
+def _real_unitaries(v: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Each step's unitary ``v diag(exp(-1j * angles)) v.T`` as a real matrix on interleaved states.
+
+    A complex state ``psi`` read as floats is ``(Re psi[0], Im psi[0], ...)``;
+    on it the unitary ``u`` acts by the real matrix whose rows ``2i`` and
+    ``2i + 1`` are ``conj(u[i])`` and ``1j * conj(u[i])`` read as floats.
+    Real products of these cost a fraction of complex ones.
+    """
+
+    steps, dim = angles.shape
+    rows = np.empty((steps, dim, 2, dim), dtype=np.complex128)
+    rows[:, :, 0] = np.einsum("pij,pj,pkj->pik", v, np.exp(1j * angles), v)
+    np.multiply(rows[:, :, 0], 1j, out=rows[:, :, 1])
+    return rows.view(np.float64).reshape(steps, 2 * dim, 2 * dim)
+
+
 def _propagate(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``u[j] @ ... @ u[0] @ psi`` to ``out[j]`` for every step ``j``; return the last state.
 
@@ -144,7 +161,7 @@ def _propagate(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     prefix = u[:whole].reshape(-1, block, psi.size, psi.size)
     for t in range(1, block):
         prefix[:, t] = prefix[:, t] @ prefix[:, t - 1]
-    starts = np.empty((len(prefix), psi.size), dtype=np.complex128)
+    starts = np.empty((len(prefix), psi.size), dtype=psi.dtype)
     for b, product in enumerate(prefix[:, -1]):
         starts[b] = psi
         psi = product @ psi
@@ -183,15 +200,18 @@ def evolve(
 
     # states[j] is the state after j steps.
     states = np.empty((steps + 1, dim), dtype=np.complex128)
-    psi = states[0] = grounds[0]
+    states[0] = grounds[0]
     for start, levels in zip(starts, solves):
         v = levels.vectors()
-        phases = np.exp(-1j * levels.roots * durations[start : start + chunk, None])
-        if dim <= _SMALL_SECTOR:
-            psi = _propagate(np.einsum("pij,pj,pkj->pik", v, phases, v), psi, states[start + 1 : start + chunk + 1])
+        angles = levels.roots * durations[start : start + chunk, None]
+        if dim <= _SMALL_SECTOR:  # in real arithmetic, on the states read as floats
+            floats = states[start : start + chunk + 1].view(np.float64)
+            _propagate(_real_unitaries(v, angles), floats[0], floats[1:])
         else:  # no (G+1)**3 unitary per step: each step goes through its eigenbasis and back
-            for j, (basis, phase) in enumerate(zip(v, phases), start + 1):
+            psi = states[start]
+            for j, (basis, phase) in enumerate(zip(v, np.exp(-1j * angles)), start + 1):
                 psi = states[j] = basis @ (phase * (psi @ basis))
+    psi = states[-1]
 
     elapsed = np.cumsum(durations)
     norms = np.linalg.norm(states[1:], axis=1)

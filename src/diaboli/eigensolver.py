@@ -13,18 +13,25 @@ k - 1 eigenvalues equal to that value exactly (deflation): only the
 uniform combination of the repeated states couples to the head.
 
 Each root is solved as an offset from an origin, as LAPACK's ``dlaed4``
-does (R.-C. Li, LAPACK Working Note 89, 1993).  One evaluation at the
-middle of the root's interlacing interval picks the half that holds it,
-and the pole at that end becomes the origin; the leftmost root keeps
-origin 0 when it lies nearer 0 than a positive first pole.  Rational
-steps then keep the nearest pole's term exactly, model the rest of the
-secular function by its tangent, and fall back to halving the bracket
-when they leave it, until a step is within a few ulps of the offset; a
-root still open when the step budget runs out raises
-``ConvergenceFailure``.  Differences between poles are exact, so the
-distance from a root ``lam = sigma + tau`` to each body value keeps its
-relative accuracy however close the root lies to a pole, and the root's
-eigenvector follows in closed form:
+does (R.-C. Li, LAPACK Working Note 89, 1993).  It starts at the root of
+a three-level model of its sector: the head and the lowest group exact,
+the other groups lumped into one level.  With two groups the model is
+the sector, and its closed-form roots are the sector's to a few ulps;
+with more it places only the leftmost root, so a solve asking for more
+roots starts each at the middle of its interlacing interval, where one
+evaluation picks the half that holds it (as do all roots of one group,
+whose rational steps are exact from any start).  The origin is the bracket
+pole nearer the start; the leftmost root keeps origin 0 when it lies
+nearer 0 than a positive first pole.  Rational steps then keep the
+nearest pole's term exactly, model the rest of the secular function by
+its tangent, and fall back to halving the bracket when they leave it.  A
+root ends when a step after its first is within a few ulps of the
+offset, or when its bracket is within 64 ulps, where the secular function
+is too noisy for steps to settle; a root still open when the step budget
+runs out raises ``ConvergenceFailure``.  Differences between poles are
+exact, so the distance from a root ``lam = sigma + tau`` to each body
+value keeps its relative accuracy however close the root lies to a pole,
+and the root's eigenvector follows in closed form:
 
     v[i] = b / (tau - (d[i] - sigma)),   v[head] = 1,   then normalize.
 
@@ -59,6 +66,7 @@ from .instance import ViolationDiagonal
 DEFLATION_RTOL = 1e-13  # body values closer than this (relative) share a group
 _STEP_BUDGET = 64  # secular evaluations per root; a rejected step becomes a halving
 _STOP_ULPS = 4.0 * np.finfo(np.float64).eps  # a step this small relative to the offset ends a root
+_BRACKET_ULPS = 16.0 * _STOP_ULPS  # so does a bracket this narrow
 # A border whose square is below the normal range couples nothing at double
 # precision (each root lies within the subnormal range of its pole), so such
 # points take the diagonal branch.
@@ -137,6 +145,70 @@ def _pole_sum(terms: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0) if terms[0].size > 1 else np.add.accumulate(terms, axis=0)[-1]
 
 
+def _root_pair(total: np.ndarray, product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of ``t**2 - total * t + product`` with ``product < 0``, one each side of 0, lower first.
+
+    The larger in magnitude comes without cancellation, and the other as
+    ``product`` over it, so both keep their relative accuracy.
+    """
+
+    big = 0.5 * (total + np.copysign(np.sqrt(total * total - 4.0 * product), total))
+    small = product / big
+    return np.minimum(big, small), np.maximum(big, small)
+
+
+def _model_start(
+    poles: np.ndarray, k: np.ndarray, size: int, b2: np.ndarray, head: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Starts for the ``count`` leftmost roots from a three-level model of the sector, or None.
+
+    The model keeps the head and the lowest group exact and lumps the other
+    groups into one level at their count-weighted mean pole, carrying their
+    summed weight; at ``G = 2`` it is the sector itself.  Its roots are
+    taken in closed form relative to a pole, from exact pole differences:
+    the top root by the trigonometric form of the 3x3 eigenvalues, the other
+    two from the quadratic the top root leaves, whose product keeps its
+    relative accuracy however close a root lies to the pole.  At ``G > 2``
+    only root 0 is placed well, so a call asking for more gets no starts.
+    Nor does ``G = 1``: there the rational steps are exact from any start.
+
+    Returns ``right`` and ``tau``, shaped ``(count, points)``: whether a
+    root's origin is the right end of its bracket (as in ``_leftmost_roots``)
+    and its start as an offset from that origin.
+    """
+
+    g = poles.size
+    if g == 1 or (g > 2 and count > 1):
+        return None
+    w0, w1 = k[0] * b2, (size - k[0]) * b2
+    h = head - poles[0]
+    far = float(k[1:] @ (poles[1:] - poles[0])) / (size - k[0])
+    # Top eigenvalue of [[0, 0, sqrt w0], [0, far, sqrt w1], [sqrt w0, sqrt w1, h]].
+    mean = (far + h) / 3.0
+    d0, d1, d2 = -mean, far - mean, h - mean
+    square = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * size * b2) / 6.0
+    scale = np.sqrt(square)
+    cosine = (d0 * d1 * d2 - d0 * w1 - d1 * w0) / (2.0 * square * scale)
+    top = mean + 2.0 * scale * np.cos(np.arccos(np.clip(cosine, -1.0, 1.0)) / 3.0)
+    # The other two roots sum to the trace minus top, and multiply to det / top.
+    low, high = _root_pair((h + far) - top, -w0 * (far / top))
+
+    right = np.ones((count, head.size), dtype=bool)
+    tau = np.empty((count, head.size))
+    # Root 0 keeps origin 0 below poles[0] / 2, as the midpoint split does.
+    right[0] = ~((poles[0] > 0.0) & (low < -0.5 * poles[0]))
+    tau[0] = np.where(right[0], low, poles[0] + low)
+    if count > 1:
+        # Roots 1 and 2 relative to poles[1]: the root below poles[0] is known,
+        # and the determinant there is far * w1.
+        low1, high1 = _root_pair((h - far) - low, far * w1 / (low - far))
+        right[1] = high > 0.5 * far
+        tau[1] = np.where(right[1], low1, high)
+        if count > 2:
+            tau[2] = high1
+    return right, tau
+
+
 def _leftmost_roots(
     poles: np.ndarray, k: np.ndarray, size: int, border: np.ndarray, head: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +226,17 @@ def _leftmost_roots(
     ``poles[0]``; ``offset`` is the root minus its origin, solved to a few
     ulps of itself, so ``poles - origin - offset`` keeps its relative
     accuracy however close the root sits to a pole.
+
+    Each root starts at its ``_model_start`` root when the call gets starts
+    (``G = 2``, or ``G > 2`` and ``count == 1``) and that root lies strictly
+    inside its bracket; at ``G = 2`` it is exact to a few ulps, and a root
+    takes two steps, as every root does at ``G = 1``.  Other roots start at
+    the middle of their bracket, where the sign of f picks the origin.  A
+    root ends when a step after its first moves it by at most
+    ``_STOP_ULPS`` of the offset (of ``|head|`` for a root kept at origin
+    0), or when its bracket is at most ``_BRACKET_ULPS`` of it wide: near a
+    crossing f is known only to tens of ulps there, and steps would bounce
+    within the bracket until halvings closed it.
     """
 
     points, g = border.size, poles.size
@@ -177,19 +260,33 @@ def _leftmost_roots(
     # run down axis 0.
     rows = points * count
     lo, hi, split = lo.reshape(-1), hi.reshape(-1), split.reshape(-1)
-    head = np.tile(head, count)
-    weight = np.tile(k[:, None] * (border * border), count)  # (G, rows)
+    b2 = border * border
+    weight = np.tile(k[:, None] * b2, count)  # (G, rows)
+    origin_left, origin_right = np.repeat(origin_left, points), np.repeat(origin_right, points)
+    near_left, near_right = np.repeat(near_left, points), np.repeat(near_right, points)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # One evaluation at the split point picks each root's half of its
-        # bracket, and with it the origin: the pole at that end of the bracket.
-        dist = poles[:, None] - split
-        terms = weight / dist
-        value = head - split - _pole_sum(terms)
-        right = value > 0  # f decreases, so the root lies right of the split
-        near = np.where(right, np.repeat(near_right, points), np.repeat(near_left, points))
-        origin = np.where(right, np.repeat(origin_right, points), np.repeat(origin_left, points))
+        # A row starts at its model root when that lies strictly inside its
+        # bracket, and its origin is the bracket pole nearer the start.
+        start = _model_start(poles, k, size, b2, head, count)
+        if start is not None:
+            right, guess = (a.reshape(-1) for a in start)
+            origin = np.where(right, origin_right, origin_left)
+            placed = (lo - origin < guess) & (guess < hi - origin)
+        head = np.tile(head, count)
+        if start is None or not placed.all():
+            # One evaluation at the split point picks the half of the bracket
+            # that holds the root, and with it the origin: the pole at that end.
+            dist = poles[:, None] - split
+            terms = weight / dist
+            value = head - split - _pole_sum(terms)
+            split_right = value > 0  # f decreases, so the root lies right of the split
+            right = split_right if start is None else np.where(placed, right, split_right)
+        near = np.where(right, near_right, near_left)
+        origin = np.where(right, origin_right, origin_left)
         lo, hi, tau = lo - origin, hi - origin, split - origin
+        if start is not None:
+            tau = np.where(placed, guess, tau)
         picked = near, np.arange(rows)
         near_weight = weight[picked]
         near_pole = poles[near] - origin  # 0, or poles[0] for a root kept at origin 0
@@ -204,13 +301,21 @@ def _leftmost_roots(
         # kept at origin 0 (its f is known only to about eps * |head - origin|),
         # and never more finely than the smallest normal float.
         floor = np.maximum(np.where(at_pole, 0.0, np.abs(level)), _TINY)
-        rest = value + terms[picked]
-        slope = 1.0 + _pole_sum(terms / dist) - terms[picked] / dist[picked]
+        # Without model starts, the split evaluation serves the first step.
+        reuse = start is None
+        if reuse:
+            rest = value + terms[picked]
+            slope = 1.0 + _pole_sum(terms / dist) - terms[picked] / dist[picked]
 
         offset = np.empty(rows)
         work = np.arange(rows)
         active = np.ones(rows, dtype=bool)
-        for _ in range(_STEP_BUDGET):
+        for steps in range(_STEP_BUDGET):
+            if steps or not reuse:
+                dist = shifted - tau
+                terms = weight / dist
+                rest = level - tau - _pole_sum(terms)
+                slope = 1.0 + _pole_sum(terms / dist)
             # f(tau) = rest - near_weight / (near_pole - tau), where rest is
             # everything else: the head level, -tau and the far poles.
             gap = near_pole - tau
@@ -234,12 +339,19 @@ def _leftmost_roots(
             step = tau + np.where(above > 0, 2.0 * span * value / (above + root), side * (above - root) / twice)
             jump = -side * np.where(below > 0, 2.0 * near_weight / (root + below), (root - below) / twice)
             step = np.where(at_pole & (np.abs(jump) <= 0.5 * np.abs(tau)), jump, step)
-            # A root is done when its step or its whole bracket is within a
-            # few ulps of the offset; with the floor, adjacent floats are.
-            tol = _STOP_ULPS * np.maximum(np.abs(tau), floor)
-            finished = (np.abs(step - tau) <= tol) | (hi - lo <= tol)
+            # A root is done when its step is within a few ulps of the offset
+            # (with the floor, adjacent floats are), or when its bracket is
+            # within _BRACKET_ULPS, where f is too noisy for steps to settle.
+            # The step test waits for a second evaluation, so that even a
+            # start on the root is confirmed; until then a root that close
+            # stays put when its step leaves the bracket.
+            scale = np.maximum(np.abs(tau), floor)
+            finished = hi - lo <= _BRACKET_ULPS * scale
+            settled = finished | (np.abs(step - tau) <= _STOP_ULPS * scale)
+            if steps:
+                finished = settled
             inside = (lo < step) & (step < hi)
-            tau = np.where(inside, step, np.where(finished, tau, 0.5 * (lo + hi)))
+            tau = np.where(inside, step, np.where(settled, tau, 0.5 * (lo + hi)))
             done = active & finished
             offset[work[done]] = tau[done]
             active &= ~finished
@@ -254,10 +366,6 @@ def _leftmost_roots(
                     for a in (work, tau, lo, hi, level, floor, side, at_pole, near_weight, near_pole, shifted, weight)
                 )
                 active = np.ones(live, dtype=bool)
-            dist = shifted - tau
-            terms = weight / dist
-            rest = level - tau - _pole_sum(terms)
-            slope = 1.0 + _pole_sum(terms / dist)
         else:
             raise ConvergenceFailure(
                 f"{int(np.count_nonzero(active))} secular root(s) missed tolerance after "

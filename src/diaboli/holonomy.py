@@ -15,9 +15,9 @@ the head amplitude (see ``lowest_levels``), so an overlap is the short sum
 ``sum_g k_g a_g a'_g + h h'`` whatever the size of the diagonal.  All loop
 samples are solved in one batch; segments whose endpoint vectors overlap
 weakly are then bisected level by level, so the transport never jumps
-across an avoided crossing.  The segments stay in walk order throughout,
-held as arrays of end points, depths and overlaps, and each split writes
-its two halves in its place.
+across an avoided crossing.  Each level looks only at the halves the
+last one made: a segment that does not split is set aside, and the ones
+set aside are put in walk order at the end.
 
 Near a crossing each level splits only a few segments, and one solve costs
 about the same for one point as for dozens.  So a segment that splits
@@ -175,20 +175,29 @@ class BerryResult:
 
 
 class _Points:
-    """Solved points as table rows, in order of adding: x, z, e0, e1, gap, head, then the ground amplitudes."""
+    """Solved points as table rows, in order of adding: x, z, e0, e1, gap, head, then the ground amplitudes.
+
+    The first ``size`` rows are filled.  The table keeps room to grow, and
+    the column views cover all of it, so they are rebuilt only when it grows.
+    """
 
     def __init__(self, diag: ViolationDiagonal, variant: str) -> None:
         self.diag = diag
         self.variant = variant
         self.weights = diag.histogram.counts.astype(np.float64)
+        self.size = 0
         self.table = np.empty((0, 6 + self.weights.size))
 
     def _append(self, rows: np.ndarray) -> np.ndarray:
-        first = len(self.table)
-        self.table = np.concatenate((self.table, rows)) if first else rows
-        self.x, self.z, self.e0, self.e1, self.gap, self.head = self.table[:, :6].T
-        self.amplitudes = self.table[:, 6:]
-        return np.arange(first, len(self.table))
+        first, self.size = self.size, self.size + len(rows)
+        if self.size > len(self.table):
+            grown = np.empty((2 * self.size, self.table.shape[1]))
+            grown[:first] = self.table[:first]
+            self.table = grown
+            self.x, self.z, self.e0, self.e1, self.gap, self.head = grown[:, :6].T
+            self.amplitudes = grown[:, 6:]
+        self.table[first : self.size] = rows
+        return np.arange(first, self.size)
 
     def solve(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Solve a batch of points in one call, append them and return their rows."""
@@ -215,20 +224,19 @@ def _subtree_midpoints(ends: np.ndarray, levels: int, axis_tol: float) -> np.nda
     sample does.
     """
 
+    # Each segment's points along it, 2**levels steps apart at the deepest level.
+    line = np.empty(ends.shape[:2] + ((1 << levels) + 1,))
+    line[..., 0], line[..., -1] = ends[..., 0], ends[..., 1]
     mids = []
     for level in range(levels):
-        start, end = ends[..., :-1], ends[..., 1:]
+        step = 1 << (levels - level)
+        start, end = line[..., :-1:step], line[..., step::step]
         mid = 0.5 * (start + end)
-        on_axis = (np.abs(mid[0]) <= axis_tol) & (start[0] != end[0])
-        if on_axis.any():
-            mid = np.where(on_axis, 0.5 * (mid + end), mid)
+        near = np.abs(mid[0]) <= axis_tol
+        if near.any():
+            mid = np.where(near & (start[0] != end[0]), 0.5 * (mid + end), mid)
+        line[..., step // 2 :: step] = mid
         mids.append(mid)
-        if level + 1 < levels:
-            # The next level's segments run between these ends and midpoints, in order.
-            grown = np.empty(mid.shape[:2] + (2 * mid.shape[2] + 1,))
-            grown[..., 0::2] = ends
-            grown[..., 1::2] = mid
-            ends = grown
     return np.concatenate(mids, axis=-1)
 
 
@@ -275,14 +283,13 @@ def berry_phase(
 ) -> BerryResult:
     """Transport the ground vector around a closed loop and read off the sign.
 
-    The segments of the walk are kept in walk order as five arrays: end
-    point indices ``left`` and ``right``, bisection ``depth``, endpoint
-    ``overlap`` and the ``cached`` row of a prefetched midpoint.  They
-    start as the steps between loop samples, all solved in one batch.
-    Then, level by level, every segment whose endpoint vectors overlap by
-    less than ``REFINE_TRIGGER`` in magnitude, below ``MAX_REFINE_DEPTH``
-    and away from degenerate points, is replaced in place by its two
-    halves, and only the fresh halves get overlaps.  The midpoints come
+    The segments of the walk start as the steps between loop samples, all
+    solved in one batch.  Then, level by level, every segment whose
+    endpoint vectors overlap by less than ``REFINE_TRIGGER`` in magnitude,
+    below ``MAX_REFINE_DEPTH`` and away from degenerate points, is split in
+    two, and only the fresh halves get overlaps and are looked at on the
+    next level; the others are kept, and are put in walk order by where
+    they start once no segment splits.  The midpoints come
     from prefetched subtrees: the split segments of a level that have none
     get theirs, ``_PREFETCH_DEPTH`` levels deep and at most
     ``_PREFETCH_POINTS`` points, in one batch.  Whether a segment splits
@@ -304,39 +311,54 @@ def berry_phase(
     cache = _Prefetch(diag, variant)
     axis_tol = np.finfo(np.float64).eps * float(np.max(np.abs(xs)))
 
-    left = np.arange(n - 1)
-    right = left + 1
-    depth = np.zeros(n - 1, dtype=np.int64)
-    overlap = pts.overlap(left, right)
-    cached = np.full(n - 1, -1)  # the row in cache of each segment's midpoint, or -1
+    # The segments still to look at, as rows of end points, depth, the cached
+    # midpoint row (or -1) and where they start along the walk, in units of
+    # the shortest segment; and their overlaps.  A segment that does not
+    # split never will, so it is kept aside as it is.
+    unit = 1 << MAX_REFINE_DEPTH
+    segments = np.empty((5, n - 1), dtype=np.int64)
+    segments[0] = np.arange(n - 1)
+    segments[1] = segments[0] + 1
+    segments[2:4] = [[0], [-1]]
+    segments[4] = segments[0] * unit
+    overlap = pts.overlap(segments[0], segments[1])
+    kept, overlaps = [], []
     while True:
-        degenerate = pts.gap <= GAP_FLOOR
-        live = ~(degenerate[left] | degenerate[right])
-        split = live & (np.abs(overlap) < REFINE_TRIGGER) & (depth < MAX_REFINE_DEPTH)
+        ends = pts.gap[segments[:2]] <= GAP_FLOOR
+        split = ~(ends[0] | ends[1]) & (np.abs(overlap) < REFINE_TRIGGER) & (segments[2] < MAX_REFINE_DEPTH)
         if not split.any():
+            kept.append(segments)
+            overlaps.append(overlap)
             break
-        row = cached[split]
+        kept.append(segments.compress(~split, axis=1))
+        overlaps.append(overlap[~split])
+        segments = segments.compress(split, axis=1)
+        left, right, depth, row, _ = segments
         new = row < 0
         if new.any():
             # As many levels as the cap on points allows, and none below the
             # depth cap; at least the segments' own midpoints.
             fits = (_PREFETCH_POINTS // int(np.count_nonzero(new)) + 1).bit_length() - 1
-            levels = max(1, min(_PREFETCH_DEPTH, MAX_REFINE_DEPTH - int(depth[split].max()), fits))
-            row[new] = cache.fetch(pts, left[split][new], right[split][new], levels, axis_tol)
+            levels = max(1, min(_PREFETCH_DEPTH, MAX_REFINE_DEPTH - int(depth.max()), fits))
+            row[new] = cache.fetch(pts, left[new], right[new], levels, axis_tol)
         mid = pts.take(cache, row)
-        # A split segment is repeated in its place: the first copy ends at
-        # the midpoint, the second starts there.
-        first = np.flatnonzero(split) + np.arange(mid.size)
-        left, right, depth, overlap, cached = (np.repeat(v, 1 + split) for v in (left, right, depth, overlap, cached))
-        right[first] = left[first + 1] = mid
-        cached[first], cached[first + 1] = cache.children[row].T
-        fresh = np.concatenate((first, first + 1))
-        depth[fresh] += 1
-        overlap[fresh] = pts.overlap(left[fresh], right[fresh])
+        # The first halves of the split segments, then their second halves.
+        halves = mid.size
+        segments = np.concatenate((segments, segments), axis=1)
+        segments[1, :halves] = segments[0, halves:] = mid
+        segments[2] += 1
+        segments[3] = cache.children[row].T.reshape(-1)
+        segments[4, halves:] += unit >> segments[2, halves:]
+        overlap = pts.overlap(segments[0], segments[1])
+    # The kept segments tile the loop; in walk order:
+    segments = np.concatenate(kept, axis=1)
+    order = np.argsort(segments[4], kind="stable")  # one sorted run, then a few more
+    left, right, depth = segments[:3].take(order, axis=1)
+    overlap = np.concatenate(overlaps)[order]
 
     # The walk meets point 0, then each segment's end point and the segment;
     # a segment leaving a degenerate point follows the one that reaches it.
-    degenerate = pts.gap <= GAP_FLOOR
+    degenerate = pts.gap[: pts.size] <= GAP_FLOOR
     failed = np.flatnonzero(degenerate[right] | (np.abs(overlap) < OVERLAP_FLOOR))
     if degenerate[0] or failed.size:
         i = 0 if degenerate[0] else right[failed[0]]
@@ -369,9 +391,9 @@ def berry_phase(
         phase=math.pi if sign < 0 else 0.0,
         holonomy_sign=sign,
         min_transport_overlap=min(1.0, float(np.min(np.abs(overlap)))),
-        min_gap_on_loop=float(np.min(pts.gap)),
-        refined_points=pts.x.size - n,
-        points_solved=pts.x.size,
+        min_gap_on_loop=float(np.min(pts.gap[: pts.size])),
+        refined_points=pts.size - n,
+        points_solved=pts.size,
         log=log,
     )
 

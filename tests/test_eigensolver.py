@@ -10,6 +10,7 @@ from diaboli import (
     VARIANTS,
     ArrowheadHamiltonian,
     ConvergenceFailure,
+    LoopPath,
     ParameterPoint,
     ViolationDiagonal,
     all_levels,
@@ -23,6 +24,7 @@ from diaboli import (
     violation_diagonal,
     worst_case_diagonal,
 )
+from diaboli.adiabatic import _ArcLengthLoop
 from diaboli.hamiltonian import variant_scales
 
 
@@ -447,3 +449,70 @@ def test_a_point_solves_alike_alone_or_in_any_batch():
                 assert bits(getattr(low, name)) == bits(getattr(whole[0], name)[pick]), (g, name, pick)
             assert bits(full.roots) == bits(whole[1].roots[pick]), (g, pick)
             assert bits(full.vectors()) == bits(whole[1].vectors()[pick]), (g, pick)
+
+
+def evolution_midpoints(steps=2000):
+    """The step midpoints an ``evolve`` of ``steps`` steps solves on the default loop."""
+
+    edges = np.linspace(0.0, 1.0, steps + 1)
+    return _ArcLengthLoop(LoopPath.default_rectangle()).points_at(0.5 * (edges[:-1] + edges[1:]))
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_small_sectors_solve_in_a_step_and_a_check(n, monkeypatch):
+    # At G = 2 each root starts at the closed-form root of its sector, so one
+    # step and the evaluation that confirms it end it, over the default loop
+    # and the evolution midpoints; the midpoint starts took 5-6.  At G = 1
+    # (no solution) the first rational step is exact from any start.
+    xs, zs = LoopPath.default_rectangle().sample_coordinates()
+    xm, zm = evolution_midpoints()
+    monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 3)
+    for diag in (worst_case_diagonal(n, 5 % 2**n), worst_case_diagonal(n)):
+        assert diag.histogram.values.size <= 2
+        lowest_levels(diag, "unscaled", xs, zs)
+        all_levels(diag, "unscaled", xm, zm)
+
+
+def test_levels_near_the_gap_minimum_match_mpmath(mp, monkeypatch):
+    """The zoom of ``predict-gap`` at z = -1, n = 8..16: the sampled points
+    next to each round's smallest gap, where the two lowest roots nearly
+    meet, held to 1e-13 relative as in ``test_levels_match_mpmath_at_50_digits``."""
+
+    def close(got, want, scale=None):
+        return abs(got - want) <= 1e-13 * (abs(want) if scale is None else scale)
+
+    real = eigensolver.lowest_levels
+    rounds = []
+
+    def spy(diag, variant, x, z):
+        levels = real(diag, variant, x, z)
+        best = int(np.argmin(levels.gap))
+        rounds.append((x, np.broadcast_to(z, x.shape), levels, range(max(best - 1, 0), min(best + 2, x.size))))
+        return levels
+
+    monkeypatch.setattr(eigensolver, "lowest_levels", spy)
+    checked = 0
+    for n, variant in itertools.product(range(8, 17), VARIANTS):
+        for diag in (worst_case_diagonal(n, (1 << n) // 3), worst_case_diagonal(n)):
+            rounds.clear()
+            prediction_error(diag, -1.0, variant)
+            factor, divisor = variant_scales(variant, diag.dimension)
+            poles = [mp.mpf(factor * float(u)) for u in diag.histogram.values]
+            k = [int(c) for c in diag.histogram.counts]
+            for xs, zs, low, near in rounds:
+                for p in near:
+                    if xs[p] == 0.0:
+                        continue  # flat: the sorted diagonal, checked bit for bit elsewhere
+                    quarter = float(zs[p]) / 4.0
+                    b, q = mp.mpf(float(xs[p]) / divisor), mp.mpf(quarter)
+                    mu0 = mp_secular_root(mp, poles, k, b, -2 * q, 0, low.e0[p] - quarter)
+                    mu1 = poles[0] if k[0] > 1 else mp_secular_root(mp, poles, k, b, -2 * q, 1, low.e1[p] - quarter)
+                    amplitudes = [b / (mu0 - pole) for pole in poles]
+                    norm = mp.sqrt(sum(kk * a * a for kk, a in zip(k, amplitudes)) + 1)
+                    assert close(low.e0[p], q + mu0, max(abs(q + mu0), abs(q)))
+                    assert close(low.gap[p], mu1 - mu0)
+                    assert close(low.head[p], 1 / norm)
+                    for got, a in zip(low.amplitudes[p].tolist(), amplitudes):
+                        assert close(got, a / norm)
+                    checked += 1
+    assert checked > 9 * 3 * 2 * 3
