@@ -25,10 +25,10 @@ pole nearer the start; the leftmost root keeps origin 0 when it lies
 nearer 0 than a positive first pole.  Rational steps then keep the
 nearest pole's term exactly, model the rest of the secular function by
 its tangent, and fall back to halving the bracket when they leave it.  A
-root ends when a step after its first is within a few ulps of the
-offset, or when its bracket is within 64 ulps, where the secular function
-is too noisy for steps to settle; a root still open when the step budget
-runs out raises ``ConvergenceFailure``.  Differences between poles are
+root ends when the secular function is within its own rounding-error bound,
+as in ``dlaed4``, taking its last step if that stays in the bracket, or when
+its bracket holds no float strictly inside; a root still open when the step
+budget runs out raises ``ConvergenceFailure``.  Differences between poles are
 exact, so the distance from a root ``lam = sigma + tau`` to each body
 value keeps its relative accuracy however close the root lies to a pole,
 and the root's eigenvector follows in closed form:
@@ -65,8 +65,7 @@ from .instance import ViolationDiagonal
 
 DEFLATION_RTOL = 1e-13  # body values closer than this (relative) share a group
 _STEP_BUDGET = 64  # secular evaluations per root; a rejected step becomes a halving
-_STOP_ULPS = 4.0 * np.finfo(np.float64).eps  # a step this small relative to the offset ends a root
-_BRACKET_ULPS = 16.0 * _STOP_ULPS  # so does a bracket this narrow
+_EPS = np.finfo(np.float64).eps
 # A border whose square is below the normal range couples nothing at double
 # precision (each root lies within the subnormal range of its pole), so such
 # points take the diagonal branch.
@@ -168,9 +167,10 @@ def _model_start(
     taken in closed form relative to a pole, from exact pole differences:
     the top root by the trigonometric form of the 3x3 eigenvalues, the other
     two from the quadratic the top root leaves, whose product keeps its
-    relative accuracy however close a root lies to the pole.  At ``G > 2``
-    only root 0 is placed well, so a call asking for more gets no starts.
-    Nor does ``G = 1``: there the rational steps are exact from any start.
+    relative accuracy however close a root lies to the pole, so at ``G = 2``
+    a root usually ends at its first evaluation.  At ``G > 2`` only root 0
+    is placed well, so a call asking for more gets no starts.  Nor does
+    ``G = 1``: there the first rational step is exact from any start.
 
     Returns ``right`` and ``tau``, shaped ``(count, points)``: whether a
     root's origin is the right end of its bracket (as in ``_leftmost_roots``)
@@ -223,20 +223,18 @@ def _leftmost_roots(
 
     Both results are shaped ``(points, count)``.  ``origin`` is the bracket
     pole nearer the root, or 0 for a leftmost root nearer 0 than a positive
-    ``poles[0]``; ``offset`` is the root minus its origin, solved to a few
-    ulps of itself, so ``poles - origin - offset`` keeps its relative
-    accuracy however close the root sits to a pole.
+    ``poles[0]``; ``offset`` is the root minus its origin, so
+    ``poles - origin - offset`` keeps its relative accuracy however close
+    the root sits to a pole.
 
     Each root starts at its ``_model_start`` root when the call gets starts
     (``G = 2``, or ``G > 2`` and ``count == 1``) and that root lies strictly
-    inside its bracket; at ``G = 2`` it is exact to a few ulps, and a root
-    takes two steps, as every root does at ``G = 1``.  Other roots start at
-    the middle of their bracket, where the sign of f picks the origin.  A
-    root ends when a step after its first moves it by at most
-    ``_STOP_ULPS`` of the offset (of ``|head|`` for a root kept at origin
-    0), or when its bracket is at most ``_BRACKET_ULPS`` of it wide: near a
-    crossing f is known only to tens of ulps there, and steps would bounce
-    within the bracket until halvings closed it.
+    inside its bracket.  Other roots start at the middle of their bracket,
+    where the sign of f picks the origin.  A root ends when ``|f|`` is within
+    f's rounding-error bound, where the sign of f means nothing (next to an
+    avoided crossing f cancels to noise well before steps settle), and then
+    takes its last step if that lies inside its bracket.  A root whose
+    bracket holds no float strictly inside ends where it stands.
     """
 
     points, g = border.size, poles.size
@@ -297,27 +295,30 @@ def _leftmost_roots(
         shifted[picked] = np.inf
         level = head - origin
         at_pole = near_pole == 0.0
-        # Offsets are solved relative to themselves, except near 0 for a root
-        # kept at origin 0 (its f is known only to about eps * |head - origin|),
-        # and never more finely than the smallest normal float.
-        floor = np.maximum(np.where(at_pole, 0.0, np.abs(level)), _TINY)
-        # Without model starts, the split evaluation serves the first step.
-        reuse = start is None
-        if reuse:
-            rest = value + terms[picked]
-            slope = 1.0 + _pole_sum(terms / dist) - terms[picked] / dist[picked]
+        # f's rounding error is within eps * ((G + 3) * (sum |far terms| + |rest|) + 5 * slope * |tau|):
+        # dlaed4's kind of bound, (G + 2) * sum |terms| + |level| + |tau| * (1 + 3 * slope), read with
+        # |near term| <= |rest| + |f| and |level| <= |rest| + |tau| + sum |far terms|.  By Cauchy-Schwarz,
+        # sum |far terms| <= sqrt(size * b2 * curve).
+        ulps = _EPS * (g + 3)
+        summed = np.tile(size * b2, count)  # the poles' summed weight
+        if start is None:
+            # Without model starts, the split evaluation serves the first step, its near term taken out.
+            terms[picked] = 0.0
+            rest = head - split - _pole_sum(terms)
+            curve = _pole_sum(terms / dist)
 
         offset = np.empty(rows)
         work = np.arange(rows)
         active = np.ones(rows, dtype=bool)
         for steps in range(_STEP_BUDGET):
-            if steps or not reuse:
+            if steps or start is not None:
                 dist = shifted - tau
                 terms = weight / dist
                 rest = level - tau - _pole_sum(terms)
-                slope = 1.0 + _pole_sum(terms / dist)
-            # f(tau) = rest - near_weight / (near_pole - tau), where rest is
-            # everything else: the head level, -tau and the far poles.
+                curve = _pole_sum(terms / dist)
+            # f(tau) = rest - near_weight / (near_pole - tau), where rest is everything
+            # else (the head level, -tau and the far poles), of slope 1 + curve.
+            slope = 1.0 + curve
             gap = near_pole - tau
             value = rest - near_weight / gap
             positive = value > 0
@@ -332,38 +333,34 @@ def _leftmost_roots(
             # which keeps its relative accuracy however close it lies.
             span = side * gap
             lean = side * rest
-            below = lean - slope * span
-            above = lean + slope * span
+            tilt = slope * span
+            below, above = lean - tilt, lean + tilt
             root = np.sqrt(below * below + 4.0 * slope * near_weight)
             twice = 2.0 * slope
             step = tau + np.where(above > 0, 2.0 * span * value / (above + root), side * (above - root) / twice)
             jump = -side * np.where(below > 0, 2.0 * near_weight / (root + below), (root - below) / twice)
-            step = np.where(at_pole & (np.abs(jump) <= 0.5 * np.abs(tau)), jump, step)
-            # A root is done when its step is within a few ulps of the offset
-            # (with the floor, adjacent floats are), or when its bracket is
-            # within _BRACKET_ULPS, where f is too noisy for steps to settle.
-            # The step test waits for a second evaluation, so that even a
-            # start on the root is confirmed; until then a root that close
-            # stays put when its step leaves the bracket.
-            scale = np.maximum(np.abs(tau), floor)
-            finished = hi - lo <= _BRACKET_ULPS * scale
-            settled = finished | (np.abs(step - tau) <= _STOP_ULPS * scale)
-            if steps:
-                finished = settled
+            abs_tau = np.abs(tau)
+            step = np.where(at_pole & (np.abs(jump) <= 0.5 * abs_tau), jump, step)
+            # A root is done when f is within its rounding-error bound, and
+            # still takes its last step when that lies inside the bracket.
+            finished = np.abs(value) <= ulps * (np.sqrt(summed * curve) + np.abs(rest)) + 5.0 * _EPS * slope * abs_tau
             inside = (lo < step) & (step < hi)
-            tau = np.where(inside, step, np.where(settled, tau, 0.5 * (lo + hi)))
+            last, tau = tau, np.where(inside, step, np.where(finished, tau, 0.5 * (lo + hi)))
+            # tau is an end of its bracket, and so is the midpoint only when no
+            # float lies strictly inside: such a root ends where it stands.
+            finished |= tau == last
             done = active & finished
             offset[work[done]] = tau[done]
-            active &= ~finished
+            active ^= done
             live = np.count_nonzero(active)
             if live == 0:
                 break
             if live < active.size // 2:
                 # compress keeps (G, rows) arrays row-major, where a[..., active] would
                 # turn them column-major and make numpy sum each column pairwise.
-                (work, tau, lo, hi, level, floor, side, at_pole, near_weight, near_pole, shifted, weight) = (
+                (work, tau, lo, hi, level, summed, side, at_pole, near_weight, near_pole, shifted, weight) = (
                     np.compress(active, a, axis=-1)
-                    for a in (work, tau, lo, hi, level, floor, side, at_pole, near_weight, near_pole, shifted, weight)
+                    for a in (work, tau, lo, hi, level, summed, side, at_pole, near_weight, near_pole, shifted, weight)
                 )
                 active = np.ones(live, dtype=bool)
         else:
@@ -522,11 +519,13 @@ class AllLevels:
     def level(self, index: int) -> np.ndarray:
         """Eigenvalue number ``index`` (ascending; negative counts from the top) at every point."""
 
-        values, repeats = self.runs()
-        ends = np.cumsum(repeats)
-        if not -ends[-1] <= index < ends[-1]:
-            raise IndexError(f"level {index} outside a spectrum of {int(ends[-1])} levels")
-        return values[:, int(np.searchsorted(ends, index % ends[-1], side="right"))]
+        starts = np.concatenate(([0], np.cumsum(self.counts)))  # root j, then k_j - 1 copies of level j
+        size = int(starts[-1]) + 1
+        if not -size <= index < size:
+            raise IndexError(f"level {index} outside a spectrum of {size} levels")
+        index %= size
+        j = int(np.searchsorted(starts, index, side="right")) - 1
+        return self.roots[:, j] if starts[j] == index else self.levels[:, j]
 
 
 def all_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarray) -> AllLevels:

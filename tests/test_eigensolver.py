@@ -25,7 +25,7 @@ from diaboli import (
     worst_case_diagonal,
 )
 from diaboli.adiabatic import _ArcLengthLoop
-from diaboli.hamiltonian import variant_scales
+from diaboli.hamiltonian import Sector, variant_scales
 
 
 def dense_reference(ham: ArrowheadHamiltonian) -> np.ndarray:
@@ -139,8 +139,11 @@ def test_interlacing_and_trace():
 
 
 def test_exhausted_newton_budget_raises(monkeypatch):
+    # Both solves start at the middle of each root's bracket (G > 2 roots get
+    # no model start when more than one is asked for), so one evaluation
+    # cannot end them.
     ham = random_arrowhead(np.random.default_rng(5), 65)
-    diag = worst_case_diagonal(5, solution_index=3)
+    diag = ViolationDiagonal(np.array([0, 1, 2, 3, 1, 2, 3, 3]))  # G = 4 and k_0 = 1: two roots
     monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 1)
     with pytest.raises(ConvergenceFailure, match="missed tolerance"):
         eigen_arrowhead(ham)
@@ -460,15 +463,16 @@ def evolution_midpoints(steps=2000):
 
 @pytest.mark.parametrize("n", [3, 8, 16])
 def test_small_sectors_solve_in_a_step_and_a_check(n, monkeypatch):
-    # At G = 2 each root starts at the closed-form root of its sector, so one
-    # step and the evaluation that confirms it end it, over the default loop
-    # and the evolution midpoints; the midpoint starts took 5-6.  At G = 1
-    # (no solution) the first rational step is exact from any start.
+    # At G = 2 each root starts at the closed-form root of its sector, where f
+    # is already within its rounding-error bound: that one evaluation and the
+    # step it gives end the root, over the default loop and the evolution
+    # midpoints (the midpoint starts took 5-6).  At G = 1 (no solution) the
+    # split evaluation's rational step is exact, and the next evaluation ends it.
     xs, zs = LoopPath.default_rectangle().sample_coordinates()
     xm, zm = evolution_midpoints()
-    monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 3)
-    for diag in (worst_case_diagonal(n, 5 % 2**n), worst_case_diagonal(n)):
-        assert diag.histogram.values.size <= 2
+    for diag, groups, budget in ((worst_case_diagonal(n, 5 % 2**n), 2, 1), (worst_case_diagonal(n), 1, 2)):
+        assert diag.histogram.values.size == groups
+        monkeypatch.setattr(eigensolver, "_STEP_BUDGET", budget)
         lowest_levels(diag, "unscaled", xs, zs)
         all_levels(diag, "unscaled", xm, zm)
 
@@ -516,3 +520,67 @@ def test_levels_near_the_gap_minimum_match_mpmath(mp, monkeypatch):
                         assert close(got, a / norm)
                     checked += 1
     assert checked > 9 * 3 * 2 * 3
+
+
+def closed_form_worst_case(n, variant, x, z):
+    """The sector of a worst case with one solution at ``2**n`` states, built from its histogram in closed form."""
+
+    factor, divisor = variant_scales(variant, 2**n)
+    x, z = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(z, dtype=np.float64))
+    return Sector(factor * np.array([0.0, 1.0]), np.array([1, 2**n - 1]), z / 4.0, x / divisor)
+
+
+# Next to the x_scaled avoided crossing at z = -1: a loop sample, and the bisection midpoints of the walk.
+CROSSING_XS = (-0.71875, -0.707122802734375, 0.707122802734375, 0.71875)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_worst_cases_up_to_60_variables_solve_in_two_evaluations(variant, monkeypatch):
+    # Next to the x_scaled crossing f cancels to rounding noise before a step
+    # settles, and more so as n grows: a stop test on the step never ends
+    # those roots, the rounding-error bound ends them at their model start.
+    # z_scaled roots, whose starts lose a few ulps, take one more evaluation.
+    xs, zs = LoopPath.default_rectangle().sample_coordinates()
+    grid = np.concatenate((np.linspace(-1.0, 1.0, 65), CROSSING_XS))
+    xs, zs = np.concatenate((xs, grid)), np.concatenate((zs, np.full(grid.size, -1.0)))
+    monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 2)
+    for n in range(16, 61, 4):
+        sec = closed_form_worst_case(n, variant, xs, zs)
+        for count in (2, 3):
+            eigensolver._sector_roots(sec, -sec.quarter, count)
+
+
+def test_levels_next_to_the_x_scaled_crossing_match_mpmath(mp):
+    """e0 and the gap at ``CROSSING_XS``, z = -1, n = 16..60 and every variant, to 1e-13 of the levels.
+
+    There f's far terms cancel its head level to noise of eps times that
+    level, which places each root only to about 5e-17, so a gap as small as
+    the x_scaled one (1.5e-5 at n = 40) is held, like e0, to 1e-13 of
+    ``max(|e0|, |z/4|)`` rather than of itself.
+    """
+
+    for n, variant in itertools.product(range(16, 61, 4), VARIANTS):
+        sec = closed_form_worst_case(n, variant, CROSSING_XS, -1.0)
+        roots, origin, offset, _ = eigensolver._sector_roots(sec, -sec.quarter, 2)
+        gap = (origin[:, 1] - origin[:, 0]) + (offset[:, 1] - offset[:, 0])  # as lowest_levels takes it
+        poles, k = [mp.mpf(0), mp.mpf(float(sec.poles[1]))], [1, 2**n - 1]
+        q = mp.mpf(-0.25)
+        for p, b in enumerate(sec.border.tolist()):
+            mu0, mu1 = (mp_secular_root(mp, poles, k, mp.mpf(b), -2 * q, j, roots[p, j] + 0.25) for j in (0, 1))
+            scale = max(abs(q + mu0), abs(q))
+            assert abs(roots[p, 0] - (q + mu0)) <= 1e-13 * scale, (n, variant, p)
+            assert abs(gap[p] - (mu1 - mu0)) <= 1e-13 * max(abs(mu1 - mu0), scale), (n, variant, p)
+
+
+def test_roots_end_on_a_bracket_with_no_float_inside(monkeypatch):
+    # With the rounding-error bound taken to 0 only f = 0 ends a root by the
+    # stop test; every other root must end on its collapsed bracket, next to
+    # where the stop test ends it.
+    xs, zs = LoopPath.default_rectangle().sample_coordinates()
+    diags = (worst_case_diagonal(3, 5), violation_diagonal(random_instance(6, 40, 0)))
+    for diag, variant in itertools.product(diags, VARIANTS):
+        want = all_levels(diag, variant, xs, zs).roots
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolver, "_EPS", 0.0)
+            got = all_levels(diag, variant, xs, zs).roots
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
