@@ -22,10 +22,12 @@ set aside are put in walk order at the end.
 Near a crossing each level splits only a few segments, and one solve costs
 about the same for one point as for dozens.  So a segment that splits
 without a solved midpoint has its whole bisection subtree, a few levels
-deep, solved in one batch (prefetched); later levels read their midpoints
-from it, and a point joins the walk only when the walk reaches it.  A
-point's solve does not depend on its batch, so the walk, its log and its
-errors are bit for bit those of solving each level's midpoints alone.
+deep, solved in one batch (prefetched) into the one table of solved
+points, where later levels find their midpoints.  The walk is read off the
+segments it keeps, so a prefetched point it never reaches does not reach
+the result.  A point's solve does not depend on its batch, so the walk,
+its log and its errors are bit for bit those of solving each level's
+midpoints alone.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class BerryResult:
     min_transport_overlap: float
     min_gap_on_loop: float
     refined_points: int
-    points_solved: int  # loop samples plus inserted midpoints; not serialized
+    points_solved: int  # walked points only, not unreached prefetched ones; not serialized
     log: tuple[TransportStep, ...] | None = None
 
     @property
@@ -175,10 +177,13 @@ class BerryResult:
 
 
 class _Points:
-    """Solved points as table rows, in order of adding: x, z, e0, e1, gap, head, then the ground amplitudes.
+    """Solved points as table rows, in order of solving: x, z, e0, e1, gap, head, then the ground amplitudes.
 
-    The first ``size`` rows are filled.  The table keeps room to grow, and
-    the column views cover all of it, so they are rebuilt only when it grows.
+    The rows are the loop samples, then each prefetched subtree, walked or
+    not.  The first ``size`` rows are filled.  The table keeps room to
+    grow, and the column views cover all of it, so they are rebuilt only
+    when it grows.  ``children[r]`` holds the rows of the midpoints of row
+    ``r``'s two halves, or -1 where that row's prefetch did not go deeper.
     """
 
     def __init__(self, diag: ViolationDiagonal, variant: str) -> None:
@@ -187,28 +192,44 @@ class _Points:
         self.weights = diag.histogram.counts.astype(np.float64)
         self.size = 0
         self.table = np.empty((0, 6 + self.weights.size))
+        self.children = np.empty((0, 2), dtype=np.int64)
 
-    def _append(self, rows: np.ndarray) -> np.ndarray:
-        first, self.size = self.size, self.size + len(rows)
+    def solve(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Solve a batch of points in one call, append them and return their rows."""
+
+        levels = lowest_levels(self.diag, self.variant, x, z)
+        first, self.size = self.size, self.size + x.size
         if self.size > len(self.table):
             grown = np.empty((2 * self.size, self.table.shape[1]))
             grown[:first] = self.table[:first]
             self.table = grown
             self.x, self.z, self.e0, self.e1, self.gap, self.head = grown[:, :6].T
             self.amplitudes = grown[:, 6:]
-        self.table[first : self.size] = rows
+        self.table[first : self.size] = np.column_stack(
+            (x, z, levels.e0, levels.e1, levels.gap, levels.head, levels.amplitudes)
+        )
+        self.children = np.concatenate((self.children, np.full((x.size, 2), -1)))
         return np.arange(first, self.size)
 
-    def solve(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Solve a batch of points in one call, append them and return their rows."""
+    def fetch(self, a: np.ndarray, b: np.ndarray, levels: int, axis_tol: float) -> np.ndarray:
+        """Solve the subtrees of segments ``(a, b)`` in one call, and return the rows of their midpoints.
 
-        levels = lowest_levels(self.diag, self.variant, x, z)
-        return self._append(np.column_stack((x, z, levels.e0, levels.e1, levels.gap, levels.head, levels.amplitudes)))
+        A subtree point the walk may never reach can fail to converge; the
+        segments' own midpoints are then solved alone, so a failure surfaces
+        only where the level-by-level walk meets it.
+        """
 
-    def take(self, other: "_Points", rows: np.ndarray) -> np.ndarray:
-        """Append rows solved by another table, and return their rows here."""
-
-        return self._append(other.table[rows])
+        x, z = _subtree_midpoints(self.table[np.stack((a, b), axis=-1), :2].transpose(2, 0, 1), levels, axis_tol)
+        try:
+            rows = self.solve(x.reshape(-1), z.reshape(-1)).reshape(x.shape)
+        except ConvergenceFailure:
+            if levels == 1:
+                raise
+            return self.fetch(a, b, 1, axis_tol)
+        width = x.shape[1]
+        kids = 2 * np.arange(width)[:, None] + np.array([1, 2])
+        self.children[rows] = np.where(kids < width, rows[:, :1, None] + kids, -1)
+        return rows[:, 0]
 
     def overlap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (self.amplitudes[a] * self.amplitudes[b]) @ self.weights + self.head[a] * self.head[b]
@@ -240,40 +261,6 @@ def _subtree_midpoints(ends: np.ndarray, levels: int, axis_tol: float) -> np.nda
     return np.concatenate(mids, axis=-1)
 
 
-class _Prefetch(_Points):
-    """Prefetched midpoints that the walk has not reached yet.
-
-    ``children[r]`` holds the rows of the midpoints of row ``r``'s two
-    halves, or -1 below the depth that row's prefetch went to.
-    """
-
-    def __init__(self, diag: ViolationDiagonal, variant: str) -> None:
-        super().__init__(diag, variant)
-        self.children = np.empty((0, 2), dtype=np.int64)
-
-    def fetch(self, walked: _Points, a: np.ndarray, b: np.ndarray, levels: int, axis_tol: float) -> np.ndarray:
-        """Solve the subtrees of segments ``(a, b)`` of ``walked`` in one call, and return the rows of their midpoints.
-
-        A subtree point the walk may never reach can fail to converge; the
-        segments' own midpoints are then solved alone, so a failure surfaces
-        only where the level-by-level walk meets it.
-        """
-
-        x, z = _subtree_midpoints(walked.table[np.stack((a, b), axis=-1), :2].transpose(2, 0, 1), levels, axis_tol)
-        try:
-            rows = self.solve(x.reshape(-1), z.reshape(-1)).reshape(x.shape)
-        except ConvergenceFailure:
-            if levels == 1:
-                raise
-            return self.fetch(walked, a, b, 1, axis_tol)
-        width = x.shape[1]
-        kids = 2 * np.arange(width)[:, None] + np.array([1, 2])
-        self.children = np.concatenate(
-            (self.children, np.where(kids < width, rows[:, :1, None] + kids, -1).reshape(-1, 2))
-        )
-        return rows[:, 0]
-
-
 def berry_phase(
     diag: ViolationDiagonal,
     variant: str = "unscaled",
@@ -289,16 +276,19 @@ def berry_phase(
     below ``MAX_REFINE_DEPTH`` and away from degenerate points, is split in
     two, and only the fresh halves get overlaps and are looked at on the
     next level; the others are kept, and are put in walk order by where
-    they start once no segment splits.  The midpoints come
-    from prefetched subtrees: the split segments of a level that have none
-    get theirs, ``_PREFETCH_DEPTH`` levels deep and at most
-    ``_PREFETCH_POINTS`` points, in one batch.  Whether a segment splits
-    depends on ``|overlap|`` alone, not on the sign carried so far, so
-    this reaches exactly the segments of a walk along the loop that
-    bisects each weak step as it meets it.  The failure that walk meets
-    first is raised: a sub-floor gap at the start point or at a segment's
-    end point (``DegenerateOnLoop``), or a segment whose overlap is still
-    below ``OVERLAP_FLOOR`` (``RefinementExhausted``).  A midpoint on x = 0, up
+    they start once no segment splits.  A split segment's midpoint is its
+    row of a prefetched subtree: the split segments of a level that have
+    none get theirs, ``_PREFETCH_DEPTH`` levels deep and at most
+    ``_PREFETCH_POINTS`` points, solved in one batch into the table that
+    holds the loop samples.  The walked points, point 0 and each kept
+    segment's end point, are all that reach the result; prefetched points
+    the walk never reached do not.  Whether a segment splits depends on
+    ``|overlap|`` alone, not on the sign carried so far, so this reaches
+    exactly the segments of a walk along the loop that bisects each weak
+    step as it meets it.  The failure that walk meets first is raised: a
+    sub-floor gap at the start point or at a segment's end point
+    (``DegenerateOnLoop``), or a segment whose overlap is still below
+    ``OVERLAP_FLOOR`` (``RefinementExhausted``).  A midpoint on x = 0, up
     to the rounding of the samples, moves half a step on, as a sample does.
     """
 
@@ -308,10 +298,9 @@ def berry_phase(
     n = xs.size
     pts = _Points(diag, variant)
     pts.solve(xs, zs)
-    cache = _Prefetch(diag, variant)
     axis_tol = np.finfo(np.float64).eps * float(np.max(np.abs(xs)))
 
-    # The segments still to look at, as rows of end points, depth, the cached
+    # The segments still to look at, as rows of end points, depth, the prefetched
     # midpoint row (or -1) and where they start along the walk, in units of
     # the shortest segment; and their overlaps.  A segment that does not
     # split never will, so it is kept aside as it is.
@@ -340,14 +329,13 @@ def berry_phase(
             # depth cap; at least the segments' own midpoints.
             fits = (_PREFETCH_POINTS // int(np.count_nonzero(new)) + 1).bit_length() - 1
             levels = max(1, min(_PREFETCH_DEPTH, MAX_REFINE_DEPTH - int(depth.max()), fits))
-            row[new] = cache.fetch(pts, left[new], right[new], levels, axis_tol)
-        mid = pts.take(cache, row)
+            row[new] = pts.fetch(left[new], right[new], levels, axis_tol)
         # The first halves of the split segments, then their second halves.
-        halves = mid.size
+        halves = row.size
         segments = np.concatenate((segments, segments), axis=1)
-        segments[1, :halves] = segments[0, halves:] = mid
+        segments[1, :halves] = segments[0, halves:] = row
         segments[2] += 1
-        segments[3] = cache.children[row].T.reshape(-1)
+        segments[3] = pts.children[row].T.reshape(-1)
         segments[4, halves:] += unit >> segments[2, halves:]
         overlap = pts.overlap(segments[0], segments[1])
     # The kept segments tile the loop; in walk order:
@@ -391,9 +379,9 @@ def berry_phase(
         phase=math.pi if sign < 0 else 0.0,
         holonomy_sign=sign,
         min_transport_overlap=min(1.0, float(np.min(np.abs(overlap)))),
-        min_gap_on_loop=float(np.min(pts.gap[: pts.size])),
-        refined_points=pts.size - n,
-        points_solved=pts.size,
+        min_gap_on_loop=float(min(pts.gap[0], pts.gap[right].min())),
+        refined_points=right.size + 1 - n,
+        points_solved=right.size + 1,
         log=log,
     )
 

@@ -1,6 +1,7 @@
 """Secular-equation eigensolver against dense diagonalization."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -217,6 +218,11 @@ def test_min_gap_raises_when_the_bracket_cannot_shrink_to_tol(monkeypatch):
     diag = worst_case_diagonal(3, solution_index=0)
     with pytest.raises(ValueError, match="at least 4 samples"):
         min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=0.0, hi=0.2, samples=3)
+    with pytest.raises(ValueError, match="sweep must be 'x' or 'z'"):
+        min_gap_on_segment(diag, "unscaled", "y", fixed=-1.0, lo=0.0, hi=0.2)
+    for lo, hi in ((0.2, 0.2), (0.2, 0.0), (0.0, math.inf), (math.nan, 0.2)):
+        with pytest.raises(ValueError, match="bad sweep range"):
+            min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=lo, hi=hi)
     monkeypatch.setattr(eigensolver, "_ZOOM_ROUNDS", 1)
     with pytest.raises(ConvergenceFailure, match="bracket still .* wide after 1 rounds"):
         min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=0.0, hi=0.2)

@@ -15,6 +15,8 @@ from diaboli import (
     UnknownVariant,
     ViolationDiagonal,
     build,
+    eigen_dense,
+    lowest_levels,
     restrict,
     worst_case_diagonal,
 )
@@ -63,6 +65,8 @@ def test_parameter_point_must_be_finite():
         ParameterPoint(x=float("nan"), z=0.0)
     with pytest.raises(ValueError):
         ParameterPoint(x=0.0, z=float("inf"))
+    with pytest.raises(ValueError, match="parameter points must be finite"):
+        lowest_levels(worst_case_diagonal(3, solution_index=0), "unscaled", np.array([0.1, np.nan]), -1.0)
 
 
 def test_dense_is_symmetric_arrowhead():
@@ -77,6 +81,8 @@ def test_dense_materialization_has_a_size_limit():
     ham = build(worst_case_diagonal(13, solution_index=0), ParameterPoint(0.1, -1.0))
     with pytest.raises(DimensionTooLarge):
         ham.to_dense()
+    with pytest.raises(DimensionTooLarge):
+        eigen_dense(ham)
 
 
 def test_restrict_picks_selected_entries():

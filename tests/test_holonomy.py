@@ -433,6 +433,25 @@ def test_a_prefetch_that_fails_off_the_walk_falls_back(monkeypatch):
     assert len(failing[0]) == 1 and failing[1][-1] == failing[0][0] and len(failing[1]) > 1
 
 
+def test_points_prefetched_off_the_walk_do_not_reach_the_result(monkeypatch):
+    diag = worst_case_diagonal(16, 5)
+    result = berry_phase(diag, collect_log=True)
+    walked = {(row.x, row.z) for row in result.log}
+    real = holonomy.lowest_levels
+    hidden = []
+
+    def solve(diag, variant, x, z):
+        # a zero gap anywhere off the walk would show in min_gap_on_loop
+        levels = real(diag, variant, x, z)
+        off = np.array([point not in walked for point in zip(x.tolist(), z.tolist())], dtype=bool)
+        hidden.append(int(np.count_nonzero(off)))
+        return dataclasses.replace(levels, gap=np.where(off, 0.0, levels.gap))
+
+    monkeypatch.setattr(holonomy, "lowest_levels", solve)
+    assert repr(dataclasses.astuple(berry_phase(diag, collect_log=True))) == repr(dataclasses.astuple(result))
+    assert sum(hidden) > 0
+
+
 def test_a_decide_at_n16_takes_a_few_batched_solves(monkeypatch):
     # Each split segment without a prefetched midpoint has its subtree solved
     # in one call; the walk it takes is the level-by-level one.
