@@ -19,12 +19,10 @@ from .adiabatic import (
     evolve,
 )
 from .eigensolver import (
-    AllLevels,
-    LowestLevels,
+    Levels,
     Spectrum,
     eigen_arrowhead,
     eigen_dense,
-    all_levels,
     lowest_levels,
     min_gap_on_segment,
 )
@@ -88,7 +86,6 @@ from .search import SearchStep, SearchTrace, brute_force_oracle, solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllLevels",
     "ArrowheadHamiltonian",
     "BerryResult",
     "ClauseArityError",
@@ -107,8 +104,8 @@ __all__ = [
     "GapPrediction",
     "IndexOutOfRange",
     "InternalContradiction",
+    "Levels",
     "LoopPath",
-    "LowestLevels",
     "MalformedHeader",
     "NormDrift",
     "OpenLoop",
@@ -126,7 +123,6 @@ __all__ = [
     "VARIANTS",
     "VariableOutOfRange",
     "ViolationDiagonal",
-    "all_levels",
     "berry_phase",
     "brute_force_oracle",
     "build",

@@ -9,11 +9,11 @@ therefore conserved structurally and only monitored, never restored.
 The evolution runs in the symmetric sector: the start state is uniform on
 each violation-count group, and the operator maps such states to such
 states, so the state lives in the ``G + 1`` dimensions spanned by the
-group-uniform states and the head.  The step midpoints are solved a chunk
-at a time by ``all_levels``: its roots are the sector's levels, its
-``level(1) - level(0)`` gives the ``gap_adaptive`` gaps, and
-``AllLevels.vectors`` gives the sector's eigenvectors in closed form from
-the same solve.  Small sectors propagate in blocks of step unitaries,
+group-uniform states and the head.  The whole spectrum at the step
+midpoints is solved a chunk at a time by ``lowest_levels``: its roots are
+the sector's levels, its ``level(1) - level(0)`` gives the ``gap_adaptive``
+gaps, and ``Levels.vectors`` gives the sector's eigenvectors in closed form
+from the same solve.  Small sectors propagate in blocks of step unitaries,
 taken as real matrices on the state's real and imaginary parts; larger
 ones step through each midpoint eigenbasis.  The final state is
 spread over the ``2**n`` entries at the end, so the cost is set by ``G``,
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormDrift, ScheduleInvalid
-from .eigensolver import all_levels, lowest_levels
+from .eigensolver import lowest_levels
 from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .holonomy import LoopPath
@@ -187,16 +187,17 @@ def evolve(
     dim = hist.values.size + 1
     chunk = max(1, _BATCH_ENTRIES // (dim * (dim - 1)))
     starts = range(0, steps, chunk)
-    solves = [all_levels(diag, variant, x_mid[start : start + chunk], z_mid[start : start + chunk]) for start in starts]
+    solves = [lowest_levels(diag, variant, x_mid[i : i + chunk], z_mid[i : i + chunk]) for i in starts]
     durations = _step_durations(np.concatenate([levels.level(1) - levels.level(0) for levels in solves]), schedule)
 
     # Ground levels and states at the step edges, in sector coordinates.  The
     # log's e1 takes its own solve, so logging cannot move e0 by a last bit.
     x_edge, z_edge = loop.points_at(s_edges)
-    edges = lowest_levels(diag, variant, x_edge, z_edge, _roots=1)
-    e0 = edges.e0
+    edges = lowest_levels(diag, variant, x_edge, z_edge, 1)
+    e0 = edges.level(0)
     root_k = np.sqrt(hist.counts.astype(np.float64))
-    grounds = np.concatenate((edges.amplitudes * root_k, edges.head[:, None]), axis=1)
+    amplitudes, head = edges.ground()
+    grounds = np.concatenate((amplitudes * root_k, head[:, None]), axis=1)
 
     # states[j] is the state after j steps.
     states = np.empty((steps + 1, dim), dtype=np.complex128)
@@ -224,7 +225,7 @@ def evolve(
 
     log = None
     if collect_log:
-        e1 = lowest_levels(diag, variant, x_edge, z_edge).e1
+        e1 = lowest_levels(diag, variant, x_edge, z_edge, 2).level(1)
         columns = np.concatenate(([0.0], elapsed)), x_edge, z_edge, e0, e1, fidelities, np.append(1.0, norms)
         log = tuple(map(EvolutionStep, *(column.tolist() for column in columns)))
 

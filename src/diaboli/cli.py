@@ -24,7 +24,7 @@ from typing import TextIO
 import numpy as np
 
 from .adiabatic import Schedule, evolution_csv, evolve
-from .eigensolver import all_levels
+from .eigensolver import lowest_levels
 from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .errors import DiaboliError
 from .hamiltonian import VARIANTS
@@ -148,7 +148,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     values = np.linspace(lo, hi, args.samples)
     xs, zs = (values, args.fixed) if args.sweep == "x" else (args.fixed, values)
     xs, zs = np.broadcast_arrays(xs, zs)
-    levels = all_levels(diag, args.variant, xs, zs)
+    levels = lowest_levels(diag, args.variant, xs, zs)
     runs, repeats = levels.runs()
     gaps = levels.level(1) - levels.level(0)
     names = ",".join(f"e{i}" for i in range(diag.dimension + 1))

@@ -35,24 +35,26 @@ and the root's eigenvector follows in closed form:
 
     v[i] = b / (tau - (d[i] - sigma)),   v[head] = 1,   then normalize.
 
-``lowest_levels`` serves the loop transport, gap scans and evolution edges:
-on a violation diagonal's exact histogram (``hamiltonian.sector``) it
-solves only the two lowest roots, for a whole batch of parameter points at
-once, returning the ground vector as one amplitude per group; a point's
-results do not depend on the batch it is solved in, down to the bit.
-``all_levels`` solves all ``G + 1`` roots for the spectrum sweeps and the
-evolution steps, keeping the spectrum run-length encoded (each body level
-repeats ``k_g - 1`` times) and the eigenvector of each root by the same
-formula.  ``eigen_arrowhead`` returns the whole spectrum of any one arrowhead
-matrix, its body grouped to float tolerance.  All three go through
-``_sector_roots``, which holds the one rule for a border too small to
-couple (``x = 0``): the roots are the stable-sorted diagonal, body first on
-ties.  ``eigen_dense`` provides the independent cross-check through
-``numpy.linalg.eigh`` on the materialized matrix.
+``lowest_levels`` is the one level solve, on a violation diagonal's exact
+histogram (``hamiltonian.sector``), for a whole batch of parameter points at
+once.  Asked for the ``count`` lowest levels, it solves only the secular
+roots among them: the two lowest levels serve the loop transport and gap
+scans, the ground level the evolution edges, and the whole spectrum the
+sweeps and evolution steps.  Its ``Levels`` keeps the spectrum run-length
+encoded (each body level repeats ``k_g - 1`` times) and gives the gap, the
+ground vector as one amplitude per group, and each root's eigenvector by
+the same formula; a point's results do not depend on its batch, to the bit.
+``eigen_arrowhead`` returns the whole spectrum of any one arrowhead matrix,
+its body grouped to float tolerance.  Both go through ``_sector_roots``,
+which holds the one rule for a border too small to couple (``x = 0``): the
+levels and vectors follow the stable-sorted diagonal, body first on ties.
+``eigen_dense`` is the independent cross-check: ``eigh`` of the dense matrix.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -373,30 +375,34 @@ def _leftmost_roots(
     return origin.reshape(count, points).T, offset.reshape(count, points).T
 
 
-def _sector_roots(sec: Sector, head: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _sector_roots(sec: Sector, head: np.ndarray, count: int) -> tuple:
     """The ``count`` lowest roots of the sector at every point, and the solve behind them.
 
     At a flat point, one whose border squared is below the normal range,
     the sector is diagonal and its roots are its stable-sorted diagonal:
-    ``z/4 + poles``, then ``head``, so the body comes first on ties.
-    Elsewhere root ``j`` is ``z/4 + (origin + offset)``, solved in the frame
-    ``mu = lam - z/4`` where the poles do not move; ``origin`` and ``offset``
-    cover only those points, which ``live`` indexes (a boolean mask would
-    scatter rows several times slower).
+    ``z/4 + poles``, then ``head``, so the body comes first on ties.  The
+    points ``flat`` masks keep that sort as ``order`` (None when no point is
+    flat), from which ``Levels`` takes their vectors.  Elsewhere root ``j``
+    is ``z/4 + (origin + offset)``, solved in the frame ``mu = lam - z/4``
+    where the poles do not move; ``origin`` and ``offset`` cover only those
+    points, which ``live`` indexes (a boolean mask would scatter rows
+    several times slower).
     """
 
     poles, counts, quarter, border = sec
     roots = np.empty((border.size, count))
     flat = border * border < _TINY
+    order = None
     if flat.any():
         diagonal = np.concatenate((quarter[flat][:, None] + poles, head[flat][:, None]), axis=1)
         roots[flat] = np.sort(diagonal, axis=1, kind="stable")[:, :count]
+        order = np.argsort(diagonal, axis=1, kind="stable")
     live = np.flatnonzero(~flat)
     origin, offset = _leftmost_roots(
         poles, counts.astype(np.float64), int(counts.sum()), border[live], head[live] - quarter[live], count
     )
     roots[live] = quarter[live][:, None] + (origin + offset)
-    return roots, origin, offset, live
+    return roots, origin, offset, live, flat, order
 
 
 def _secular_vectors(sec: Sector, border, origin, offset) -> tuple[np.ndarray, np.ndarray]:
@@ -416,130 +422,123 @@ def _secular_vectors(sec: Sector, border, origin, offset) -> tuple[np.ndarray, n
 
 
 @dataclass(frozen=True, eq=False)
-class LowestLevels:
-    """The two lowest eigenvalues and the ground vector at a batch of points.
+class Levels:
+    """The lowest levels at a batch of points, kept run-length encoded.
 
-    The ground vector is uniform on each violation-count group: body entry
-    ``i`` carries ``amplitudes[p, g]`` with ``g = diag.histogram.inverse[i]``
-    and the head carries ``head[p]``, normalized with ``head >= 0``.
-    ``gap`` is ``e1 - e0`` evaluated before the common ``z/4`` shift is
-    added back, so it keeps its relative accuracy when the levels are close.
-    """
-
-    e0: np.ndarray
-    e1: np.ndarray
-    gap: np.ndarray
-    amplitudes: np.ndarray  # (points, groups)
-    head: np.ndarray
-
-
-def lowest_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarray, _roots=2) -> LowestLevels:
-    """Two lowest levels and the ground vector of ``build(diag, (x, z), variant)`` at every point.
-
-    Works on the exact histogram of the diagonal (``sector``), so the cost
-    per point is set by the number of distinct violation counts ``G``, not
-    by ``2**n``.  Only the two leftmost secular roots are solved, for all
-    points at once; a repeated lowest count ``k_0 > 1`` pins ``e1`` to its
-    body value, which leaves one root.  At a flat point (``x = 0``) the
-    levels are the sorted diagonal, and the ground vector is the lowest body
-    group, made uniform, or the head.  The private ``_roots = 1`` solves the
-    ground level and vector only, leaving ``e1`` and ``gap`` nan where they
-    need a second root.
-    """
-
-    sec = sector(diag, variant, x, z)
-    poles, counts, quarter, border = sec
-    repeated = counts[0] > 1
-    # A repeated lowest count pins e1 to its body level; only e0 needs solving.
-    roots, origin, offset, live = _sector_roots(sec, -quarter, 1 if repeated else _roots)
-    s0, t0 = origin[:, 0], offset[:, 0]
-    e0 = roots[:, 0]
-    e1 = quarter + poles[0] if repeated else roots[:, 1] if _roots > 1 else np.full(e0.size, np.nan)
-    gap = e1 - e0  # kept at flat points; the others take it before the z/4 shift
-    if repeated:
-        gap[live] = (poles[0] - s0) - t0
-    elif _roots > 1:
-        gap[live] = (origin[:, 1] - s0) + (offset[:, 1] - t0)
-
-    # The flat ground vector at every point; the solve overwrites the live ones.
-    amplitudes = np.zeros((e0.size, poles.size))
-    below = quarter + poles[0] <= -quarter  # the stable sort puts the body first on ties
-    amplitudes[:, 0] = np.where(below, 1.0 / math.sqrt(counts[0]), 0.0)
-    head = np.where(below, 0.0, 1.0)
-    ground, head[live] = _secular_vectors(sec, border[live], s0, t0)
-    amplitudes[live] = ground.T
-    return LowestLevels(e0=e0, e1=e1, gap=gap, amplitudes=amplitudes, head=head)
-
-
-@dataclass(frozen=True, eq=False)
-class AllLevels:
-    """The whole spectrum at a batch of points, kept run-length encoded.
-
-    ``roots[p]`` holds the ``G + 1`` eigenvalues of the symmetric sector,
+    ``roots[p]`` holds the solved eigenvalues of the symmetric sector,
     ascending, root ``j`` lying between body levels ``j - 1`` and ``j``;
-    ``levels[p]`` holds the body levels ``z/4 + s * u_g``.  The whole
-    ascending spectrum at point ``p`` is
+    ``levels[p]`` holds the body levels ``z/4 + s * u_g``.  The ascending
+    spectrum at point ``p`` is
 
         roots[p, 0], levels[p, 0] x (k_0 - 1), roots[p, 1], ..., roots[p, G]
+
+    of which only the first ``roots.shape[1]`` roots were solved.
     """
 
-    roots: np.ndarray  # (points, groups + 1)
-    levels: np.ndarray  # (points, groups)
+    roots: np.ndarray  # (points, solved roots)
     counts: np.ndarray  # k_g
-    _solve: tuple = field(repr=False)  # the sector, and origin, offset and live of _sector_roots
+    _solve: tuple = field(repr=False)  # the sector, the solve of _sector_roots, and where each root is
+
+    @property
+    def levels(self) -> np.ndarray:
+        """The body levels, ``(points, groups)``."""
+
+        return self._solve[0].quarter[:, None] + self._solve[0].poles
+
+    def level(self, index: int) -> np.ndarray:
+        """Eigenvalue number ``index`` (ascending; negative counts from the top) at every point."""
+
+        starts = self._solve[-1]
+        size = starts[-1] + 1
+        if not -size <= index < size:
+            raise IndexError(f"level {index} outside a spectrum of {size} levels")
+        index %= size
+        j = bisect.bisect_right(starts, index) - 1
+        if starts[j] != index:
+            return self._solve[0].quarter + self._solve[0].poles[j]
+        if j >= self.roots.shape[1]:
+            raise IndexError(f"level {index} is root {j}, and only {self.roots.shape[1]} root(s) were solved")
+        return self.roots[:, j]
+
+    def gap(self) -> np.ndarray:
+        """``level(1) - level(0)``, taken before the common ``z/4`` shift, so it keeps its relative accuracy."""
+
+        sec, origin, offset, live, *_ = self._solve
+        gap = self.level(1) - self.roots[:, 0]  # kept at flat points
+        if self.counts[0] > 1:
+            gap[live] = (sec.poles[0] - origin[:, 0]) - offset[:, 0]
+        else:
+            gap[live] = (origin[:, 1] - origin[:, 0]) + (offset[:, 1] - offset[:, 0])
+        return gap
+
+    def ground(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ground vector as ``(amplitudes, head)``, uniform on each violation-count group.
+
+        Body entry ``i`` carries ``amplitudes[p, g]`` with
+        ``g = diag.histogram.inverse[i]`` and the head carries ``head[p]``,
+        normalized with ``head >= 0``.  At a flat point it is the lowest body
+        group, made uniform, or the head, as the roots and ``vectors`` have it.
+        """
+
+        sec, origin, offset, live, flat, order, _ = self._solve
+        group, solved = _secular_vectors(sec, sec.border[live], origin[:, 0], offset[:, 0])
+        if order is None:
+            return group.T, solved
+        amplitudes = np.zeros((len(self.roots), len(self.counts)))
+        head = np.zeros(len(amplitudes))
+        amplitudes[flat, 0] = (order[:, 0] == 0) / math.sqrt(self.counts[0])
+        head[flat] = order[:, 0] == len(self.counts)
+        amplitudes[live], head[live] = group.T, solved
+        return amplitudes, head
 
     def vectors(self) -> np.ndarray:
-        """Eigenvectors of the symmetric sector, ``(points, G + 1, G + 1)``, column ``j`` for ``roots[:, j]``.
+        """Eigenvectors of the symmetric sector, ``(points, G + 1, roots)``, column ``j`` for ``roots[:, j]``.
 
         Rows are the normalized uniform states of the count groups, then the
         head.  At a flat point the columns stably sort the diagonal, as the roots do.
         """
 
-        sec, origin, offset, live = self._solve
-        vectors = np.zeros(self.roots.shape + self.roots.shape[1:])
-        flat = np.ones(len(vectors), dtype=bool)
-        flat[live] = False
-        if flat.any():
-            order = np.argsort(np.concatenate((self.levels[flat], -sec.quarter[flat][:, None]), axis=1), kind="stable")
-            vectors[flat] = np.swapaxes(np.eye(self.roots.shape[1])[order], 1, 2)
+        sec, origin, offset, live, flat, order, _ = self._solve
+        size, solved = len(self.counts) + 1, self.roots.shape[1]
+        vectors = np.zeros((len(self.roots), size, solved))
+        if order is not None:
+            vectors[flat] = np.swapaxes(np.eye(size)[order[:, :solved]], 1, 2)
         amplitudes, vectors[live, -1] = _secular_vectors(sec, sec.border[live][:, None], origin, offset)
         vectors[live, :-1] = np.swapaxes(amplitudes, 0, 1) * np.sqrt(self.counts.astype(np.float64))[:, None]
         return vectors
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Values ``(points, 2G + 1)`` and how often each column repeats in the spectrum."""
+        """The spectrum's values and how often each repeats: ``2G + 1`` columns, or up to the first unsolved root."""
 
-        values = np.empty((self.roots.shape[0], 2 * self.levels.shape[1] + 1))
+        width = min(2 * self.roots.shape[1], 2 * len(self.counts) + 1)
+        values = np.empty((len(self.roots), width))
         values[:, 0::2] = self.roots
-        values[:, 1::2] = self.levels
-        repeats = np.ones(values.shape[1], dtype=np.int64)
-        repeats[1::2] = self.counts - 1
+        values[:, 1::2] = self.levels[:, : width // 2]
+        repeats = np.ones(width, dtype=np.int64)
+        repeats[1::2] = self.counts[: width // 2] - 1
         return values, repeats
 
-    def level(self, index: int) -> np.ndarray:
-        """Eigenvalue number ``index`` (ascending; negative counts from the top) at every point."""
 
-        starts = np.concatenate(([0], np.cumsum(self.counts)))  # root j, then k_j - 1 copies of level j
-        size = int(starts[-1]) + 1
-        if not -size <= index < size:
-            raise IndexError(f"level {index} outside a spectrum of {size} levels")
-        index %= size
-        j = int(np.searchsorted(starts, index, side="right")) - 1
-        return self.roots[:, j] if starts[j] == index else self.levels[:, j]
+def lowest_levels(
+    diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarray, count: int | None = None
+) -> Levels:
+    """The ``count`` lowest levels of ``build(diag, (x, z), variant)`` at every point, in one batch.
 
-
-def all_levels(diag: ViolationDiagonal, variant: str, x: np.ndarray, z: np.ndarray) -> AllLevels:
-    """Whole spectrum of ``build(diag, (x, z), variant)`` at every point, in one batch.
-
-    All ``G + 1`` secular roots of every point are solved together by the
-    batched solve behind ``lowest_levels``, and flat points take its
-    sorted diagonal; the other eigenvalues are the body levels repeated
-    ``k_g - 1`` times.  The solve is kept for ``AllLevels.vectors``.
+    Works on the exact histogram of the diagonal (``sector``), so the cost
+    per point is set by the number of distinct violation counts ``G``, not
+    by ``2**n``.  Only the secular roots among those levels are solved (all
+    ``G + 1`` for ``None``); the others are body levels, so a repeated lowest
+    count ``k_0 > 1`` gives level 1 without a solve.  At a flat point
+    (``x = 0``) the levels are the sorted diagonal.
     """
 
+    if count is not None and count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     sec = sector(diag, variant, x, z)
-    roots, *solve = _sector_roots(sec, -sec.quarter, sec.poles.size + 1)
-    return AllLevels(roots=roots, levels=sec.quarter[:, None] + sec.poles, counts=sec.counts, _solve=(sec, *solve))
+    starts = [0, *itertools.accumulate(sec.counts.tolist())]  # the index of each root in the spectrum
+    solved = len(starts) if count is None else bisect.bisect_left(starts, count)
+    roots, *solve = _sector_roots(sec, -sec.quarter, solved)
+    return Levels(roots=roots, counts=sec.counts, _solve=(sec, *solve, starts))
 
 
 _GAP_TOL = 1e-6  # a zoom stops once its bracket is this narrow in the swept parameter
@@ -583,7 +582,7 @@ def min_gap_on_segment(
     for _ in range(_ZOOM_ROUNDS):
         ts = np.linspace(a, b, samples)
         xs, zs = (ts, fixed) if sweep == "x" else (fixed, ts)
-        gaps = lowest_levels(diag, variant, xs, zs).gap
+        gaps = lowest_levels(diag, variant, xs, zs, 2).gap()
         best = int(np.argmin(gaps))
         if gaps[best] < g_min:
             t_min, g_min = float(ts[best]), float(gaps[best])

@@ -11,7 +11,7 @@ exactly when the instance is soluble, so phase pi doubles as a solubility
 oracle.
 
 Ground vectors are kept as one amplitude per violation-count group plus
-the head amplitude (see ``lowest_levels``), so an overlap is the short sum
+the head amplitude (see ``Levels.ground``), so an overlap is the short sum
 ``sum_g k_g a_g a'_g + h h'`` whatever the size of the diagonal.  All loop
 samples are solved in one batch; segments whose endpoint vectors overlap
 weakly are then bisected level by level, so the transport never jumps
@@ -197,7 +197,7 @@ class _Points:
     def solve(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Solve a batch of points in one call, append them and return their rows."""
 
-        levels = lowest_levels(self.diag, self.variant, x, z)
+        levels = lowest_levels(self.diag, self.variant, x, z, 2)
         first, self.size = self.size, self.size + x.size
         if self.size > len(self.table):
             grown = np.empty((2 * self.size, self.table.shape[1]))
@@ -205,8 +205,9 @@ class _Points:
             self.table = grown
             self.x, self.z, self.e0, self.e1, self.gap, self.head = grown[:, :6].T
             self.amplitudes = grown[:, 6:]
+        amplitudes, head = levels.ground()
         self.table[first : self.size] = np.column_stack(
-            (x, z, levels.e0, levels.e1, levels.gap, levels.head, levels.amplitudes)
+            (x, z, levels.level(0), levels.level(1), levels.gap(), head, amplitudes)
         )
         self.children = np.concatenate((self.children, np.full((x.size, 2), -1)))
         return np.arange(first, self.size)

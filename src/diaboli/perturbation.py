@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateUnperturbed
-from .eigensolver import all_levels, min_gap_on_segment
+from .eigensolver import lowest_levels, min_gap_on_segment
 from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .hamiltonian import ParameterPoint, sector
 from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
@@ -160,5 +160,5 @@ def fitted_level_coefficient(diag: ViolationDiagonal, z: float, variant: str, le
     """Fit one exact eigenlevel over a small symmetric x window; return the x**2 term."""
 
     xs = np.linspace(-_FIT_HALF_WIDTH, _FIT_HALF_WIDTH, _FIT_POINTS)
-    ys = all_levels(diag, variant, xs, z).level(level)
+    ys = lowest_levels(diag, variant, xs, z).level(level)
     return float(even_polynomial_fit(xs, ys)[1])

@@ -9,7 +9,7 @@ import pytest
 import diaboli.adiabatic as adiabatic
 from diaboli import (
     VARIANTS,
-    AllLevels,
+    Levels,
     LoopPath,
     NormDrift,
     ParameterPoint,
@@ -114,9 +114,10 @@ def dense_walk(diag, variant, schedule):
     loop = adiabatic._ArcLengthLoop(RECT)
     s_edges = np.linspace(0.0, 1.0, schedule.steps + 1)
     x_mid, z_mid = loop.points_at(0.5 * (s_edges[:-1] + s_edges[1:]))
-    durations = adiabatic._step_durations(lowest_levels(diag, variant, x_mid, z_mid).gap, schedule)
-    edges = lowest_levels(diag, variant, *loop.points_at(s_edges))
-    grounds = np.concatenate((edges.amplitudes[:, diag.histogram.inverse], edges.head[:, None]), axis=1)
+    durations = adiabatic._step_durations(lowest_levels(diag, variant, x_mid, z_mid, 2).gap(), schedule)
+    edges = lowest_levels(diag, variant, *loop.points_at(s_edges), 2)
+    amplitudes, head = edges.ground()
+    grounds = np.concatenate((amplitudes[:, diag.histogram.inverse], head[:, None]), axis=1)
     psi = grounds[0].astype(np.complex128)
     fidelities = [abs(np.vdot(grounds[0], psi)) ** 2]
     for j in range(schedule.steps):
@@ -124,7 +125,8 @@ def dense_walk(diag, variant, schedule):
         w, v = np.linalg.eigh(ham.to_dense())
         psi = v @ (np.exp(-1j * w * durations[j]) * (v.T @ psi))
         fidelities.append(abs(np.vdot(grounds[j + 1], psi)) ** 2)
-    dynamical = -float(np.sum(0.5 * (edges.e0[:-1] + edges.e0[1:]) * durations))
+    e0 = edges.level(0)
+    dynamical = -float(np.sum(0.5 * (e0[:-1] + e0[1:]) * durations))
     total = float(np.angle(np.vdot(grounds[0], psi)))
     return psi, np.array(fidelities), edges, dynamical, total
 
@@ -162,8 +164,8 @@ def test_sector_evolution_matches_a_dense_walk(variant, profile):
             geometric = math.remainder(total - dynamical, 2.0 * math.pi)
             assert circular_distance(result.geometric_phase_estimate, geometric) < 1e-10
             log = result.log
-            np.testing.assert_allclose([row.e0 for row in log], edges.e0, rtol=0, atol=1e-10)
-            np.testing.assert_allclose([row.e1 for row in log], edges.e1, rtol=0, atol=1e-10)
+            np.testing.assert_allclose([row.e0 for row in log], edges.level(0), rtol=0, atol=1e-10)
+            np.testing.assert_allclose([row.e1 for row in log], edges.level(1), rtol=0, atol=1e-10)
             np.testing.assert_allclose([row.fidelity for row in log], fidelities, rtol=0, atol=1e-10)
 
 
@@ -181,12 +183,12 @@ def test_evolution_runs_past_the_dense_size_cap():
 
 
 def test_norm_drift_raises(monkeypatch):
-    vectors = AllLevels.vectors
+    vectors = Levels.vectors
 
     def stretched(levels):
         return vectors(levels) * (1.0 + 1e-5)
 
-    monkeypatch.setattr(AllLevels, "vectors", stretched)
+    monkeypatch.setattr(Levels, "vectors", stretched)
     with pytest.raises(NormDrift, match="norm drifted"):
         evolve(worst_case_diagonal(3, 0), "unscaled", RECT, Schedule(50.0, steps=100))
 
@@ -201,10 +203,11 @@ def sector_loop(diag, variant, schedule):
     loop = adiabatic._ArcLengthLoop(RECT)
     s_edges = np.linspace(0.0, 1.0, schedule.steps + 1)
     x_mid, z_mid = loop.points_at(0.5 * (s_edges[:-1] + s_edges[1:]))
-    durations = adiabatic._step_durations(lowest_levels(diag, variant, x_mid, z_mid).gap, schedule)
-    edges = lowest_levels(diag, variant, *loop.points_at(s_edges))
+    durations = adiabatic._step_durations(lowest_levels(diag, variant, x_mid, z_mid, 2).gap(), schedule)
+    edges = lowest_levels(diag, variant, *loop.points_at(s_edges), 2)
     root_k = np.sqrt(diag.histogram.counts)
-    grounds = np.concatenate((edges.amplitudes * root_k, edges.head[:, None]), axis=1)
+    amplitudes, head = edges.ground()
+    grounds = np.concatenate((amplitudes * root_k, head[:, None]), axis=1)
     groups = diag.histogram.values.size
     basis = np.zeros((diag.dimension + 1, groups + 1))
     basis[np.arange(diag.dimension), diag.histogram.inverse] = 1.0 / root_k[diag.histogram.inverse]
@@ -217,7 +220,8 @@ def sector_loop(diag, variant, schedule):
     psi = states[-1]
     fidelities = np.abs(np.sum(grounds * states, axis=1)) ** 2
     final = np.append((psi[:-1] / root_k)[diag.histogram.inverse], psi[-1])
-    dynamical = -float(np.sum(0.5 * (edges.e0[:-1] + edges.e0[1:]) * durations))
+    e0 = edges.level(0)
+    dynamical = -float(np.sum(0.5 * (e0[:-1] + e0[1:]) * durations))
     return final, fidelities, dynamical, float(np.angle(np.vdot(states[0], psi)))
 
 

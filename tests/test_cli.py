@@ -11,9 +11,9 @@ import pytest
 from diaboli import (
     VARIANTS,
     ParameterPoint,
-    all_levels,
     build,
     eigen_arrowhead,
+    lowest_levels,
     random_instance,
     render_dimacs,
     violation_diagonal,
@@ -81,7 +81,7 @@ def test_spectrum_rows_repeat_each_level_string(tmp_path, capsys):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     xs = np.linspace(0.0, 0.2, 7)
-    levels = all_levels(worst_case_diagonal(10, 321), "unscaled", xs, np.full(7, -1.0))
+    levels = lowest_levels(worst_case_diagonal(10, 321), "unscaled", xs, np.full(7, -1.0))
     runs, repeats = levels.runs()
     assert repeats.max() == 2**10 - 2  # the count-1 level repeats
     gaps = levels.level(1) - levels.level(0)
@@ -204,10 +204,16 @@ EVOLVE = ["evolve", "wc:n=3,sol=0"]
         EVOLVE + ["--time", "-1"],
         EVOLVE + ["--time", "100", "--steps", "0"],
         EVOLVE + ["--time", "100", "--steps", "99"],
+        SPECTRUM + ["--fixed", "abc", "--range", "0:0.2"],
+        SPECTRUM + ["--fixed", "-1", "--range", "0:0.2", "--samples", "1.5"],
+        SPECTRUM + ["--fixed", "-1", "--range", "a:b"],
+        SPECTRUM + ["--fixed", "-1", "--range", "0.2:0"],
+        SPECTRUM + ["--fixed", "-1", "--range", "0.2:0.2"],
     ],
     ids=[
         "samples-per-edge-0", "samples-negative", "samples-0", "fixed-nan", "z-nan", "range-inf",
         "time-nan", "time-inf", "time-negative", "steps-0", "steps-99",
+        "fixed-not-a-number", "samples-not-an-integer", "range-not-numeric", "range-reversed", "range-empty",
     ],
 )
 def test_bad_numbers_are_usage_errors(capsys, argv):
@@ -276,6 +282,8 @@ def test_usage_errors_exit_one(capsys):
     assert main(["spectrum", "wc:n=3,sol=0", "--sweep", "y",
                  "--fixed", "0", "--range", "0:1"]) == 1
     assert main(["berry", "wc:n=3,scale=2"]) == 1
+    for source in ("wc:n=3,sol", "wc:sol=1", "wc:n=three", "wc:n=3,sol=first"):
+        assert main(["berry", source]) == 1, source
     assert main(["berry", "/nonexistent/file.cnf"]) == 1
     assert main(["spectrum", "wc:n=3,sol=0", "--sweep", "x",
                  "--fixed", "0", "--range", "0to1"]) == 1

@@ -14,7 +14,6 @@ from diaboli import (
     LoopPath,
     ParameterPoint,
     ViolationDiagonal,
-    all_levels,
     build,
     eigen_arrowhead,
     eigen_dense,
@@ -105,8 +104,10 @@ def test_flat_points_give_the_sorted_diagonal_bit_for_bit(variant, x):
         ViolationDiagonal(np.array([0, 2, 0, 1, 3, 0, 1, 2])),
         violation_diagonal(random_instance(6, 25, 2)),  # G + 1 = 9
     ):
-        low = lowest_levels(diag, variant, x, zs)
-        values, repeats = all_levels(diag, variant, x, zs).runs()
+        low = lowest_levels(diag, variant, x, zs, 2)
+        e0, e1, gap = low.level(0), low.level(1), low.gap()
+        amplitudes, head = low.ground()
+        values, repeats = lowest_levels(diag, variant, x, zs).runs()
         k0 = diag.histogram.counts[0]
         for p, z in enumerate(zs.tolist()):
             ham = build(diag, ParameterPoint(x, z), variant)
@@ -115,12 +116,12 @@ def test_flat_points_give_the_sorted_diagonal_bit_for_bit(variant, x):
             exact = full[order]
             assert bits(eigen_arrowhead(ham).eigenvalues) == bits(exact)
             assert bits(np.repeat(values[p], repeats)) == bits(exact)
-            assert bits([low.e0[p], low.e1[p], low.gap[p]]) == bits([exact[0], exact[1], exact[1] - exact[0]])
+            assert bits([e0[p], e1[p], gap[p]]) == bits([exact[0], exact[1], exact[1] - exact[0]])
             body_first = order[0] < diag.dimension
             want = np.zeros(diag.histogram.values.size)
             want[0] = 1.0 / np.sqrt(k0) if body_first else 0.0
-            assert bits(low.amplitudes[p]) == bits(want)
-            assert bits([low.head[p]]) == bits([0.0 if body_first else 1.0])
+            assert bits(amplitudes[p]) == bits(want)
+            assert bits([head[p]]) == bits([0.0 if body_first else 1.0])
 
 
 def test_interlacing_and_trace():
@@ -149,7 +150,7 @@ def test_exhausted_newton_budget_raises(monkeypatch):
     with pytest.raises(ConvergenceFailure, match="missed tolerance"):
         eigen_arrowhead(ham)
     with pytest.raises(ConvergenceFailure, match="missed tolerance"):
-        lowest_levels(diag, "unscaled", np.array([0.3, -0.7]), np.array([-1.0, 0.5]))
+        lowest_levels(diag, "unscaled", np.array([0.3, -0.7]), np.array([-1.0, 0.5]), 2)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -163,16 +164,18 @@ def test_lowest_levels_match_dense_at_random_points(variant):
         xs = rng.uniform(-1.5, 1.5, size=12)
         zs = rng.uniform(-1.5, 1.5, size=12)
         xs[:3] = 0.0  # the diagonal branch
-        levels = lowest_levels(diag, variant, xs, zs)
+        levels = lowest_levels(diag, variant, xs, zs, 2)
+        e0, e1, gap = levels.level(0), levels.level(1), levels.gap()
+        amplitudes, head = levels.ground()
         for p, (x, z) in enumerate(zip(xs, zs)):
             ref = eigen_dense(build(diag, ParameterPoint(float(x), float(z)), variant))
             scale = max(1.0, float(np.max(np.abs(ref.eigenvalues))))
-            assert levels.e0[p] == pytest.approx(ref.eigenvalues[0], abs=1e-13 * scale)
-            assert levels.e1[p] == pytest.approx(ref.eigenvalues[1], abs=1e-13 * scale)
-            assert levels.gap[p] == pytest.approx(ref.gap01, abs=1e-13 * scale)
+            assert e0[p] == pytest.approx(ref.eigenvalues[0], abs=1e-13 * scale)
+            assert e1[p] == pytest.approx(ref.eigenvalues[1], abs=1e-13 * scale)
+            assert gap[p] == pytest.approx(ref.gap01, abs=1e-13 * scale)
             if ref.gap01 < 1e-6:
                 continue  # the ground vector is not unique
-            vector = np.append(levels.amplitudes[p, diag.histogram.inverse], levels.head[p])
+            vector = np.append(amplitudes[p, diag.histogram.inverse], head[p])
             assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
             sign = 1.0 if float(vector @ ref.ground_vector) > 0.0 else -1.0
             np.testing.assert_allclose(vector, sign * ref.ground_vector, rtol=0, atol=1e-11)
@@ -275,7 +278,7 @@ def test_all_levels_match_dense_at_random_points(variant):
         xs = rng.uniform(-1.5, 1.5, size=10)
         zs = rng.uniform(-1.5, 1.5, size=10)
         xs[:3] = 0.0  # the diagonal branch
-        levels = all_levels(diag, variant, xs, zs)
+        levels = lowest_levels(diag, variant, xs, zs)
         spectra = np.repeat(*levels.runs(), axis=1)
         assert spectra.shape == (10, 2**n + 1)
         for p, (x, z) in enumerate(zip(xs, zs)):
@@ -283,8 +286,15 @@ def test_all_levels_match_dense_at_random_points(variant):
             np.testing.assert_allclose(spectra[p], want, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(want))))
         for index in (0, 1, 2**n, -1, -(2**n + 1)):
             assert np.array_equal(levels.level(index), spectra[:, index])
+        for count in (1, 2):  # the spectrum up to the last body level below an unsolved root
+            lowest = np.repeat(*lowest_levels(diag, variant, xs, zs, count).runs(), axis=1)
+            assert count <= lowest.shape[1]
+            scale = np.max(np.abs(spectra))
+            np.testing.assert_allclose(lowest, spectra[:, : lowest.shape[1]], rtol=0, atol=1e-13 * scale)
         with pytest.raises(IndexError):
             levels.level(2**n + 1)
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            lowest_levels(diag, variant, xs, zs, 0)
 
 
 def projected_sector(diag, variant, x, z):
@@ -313,7 +323,7 @@ def test_sector_eigenpairs_match_eigh_of_the_projected_sector():
         for variant in VARIANTS:
             xs = np.concatenate((rng.uniform(-1.5, 1.5, size=6), [0.0, -0.0, 1e-12, -1e-12, 1e-8]))
             zs = rng.uniform(-1.5, 1.5, size=xs.size)
-            levels = all_levels(diag, variant, xs, zs)
+            levels = lowest_levels(diag, variant, xs, zs)
             vectors = levels.vectors()
             for p, (x, z) in enumerate(zip(xs.tolist(), zs.tolist())):
                 mat = projected_sector(diag, variant, x, z)
@@ -395,8 +405,10 @@ def test_levels_match_mpmath_at_50_digits(mp):
             xs = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-12.0, 0.3, 3)
             zs = rng.choice([0.0, 1e-9, -1.0, 1.0, -1.0 + 1e-9, 1.0 - 1e-9], 3)
             zs += rng.choice([0.0, 1.0], 3) * rng.normal(0.0, 0.3, 3)
-            low = lowest_levels(diag, variant, xs, zs)
-            every = all_levels(diag, variant, xs, zs)
+            low = lowest_levels(diag, variant, xs, zs, 2)
+            e0, gap = low.level(0), low.gap()
+            ground, head = low.ground()
+            every = lowest_levels(diag, variant, xs, zs)
             for p, (x, z) in enumerate(zip(xs.tolist(), zs.tolist())):
                 b, q = mp.mpf(x / divisor), mp.mpf(z / 4.0)
                 mus = [
@@ -407,10 +419,10 @@ def test_levels_match_mpmath_at_50_digits(mp):
                 amplitudes = [b / (mus[0] - pole) for pole in poles]
                 norm = mp.sqrt(sum(kk * a * a for kk, a in zip(k, amplitudes)) + 1)
                 # e0 and the roots add z/4 to a secular root: held to the larger of |z/4| and themselves
-                assert close(low.e0[p], q + mus[0], max(abs(q + mus[0]), abs(q)))
-                assert close(low.gap[p], mu1 - mus[0])
-                assert close(low.head[p], 1 / norm)
-                for got, a in zip(low.amplitudes[p].tolist(), amplitudes):
+                assert close(e0[p], q + mus[0], max(abs(q + mus[0]), abs(q)))
+                assert close(gap[p], mu1 - mus[0])
+                assert close(head[p], 1 / norm)
+                for got, a in zip(ground[p].tolist(), amplitudes):
                     assert close(got, a / norm)
                 for got, mu in zip(every.roots[p].tolist(), mus):
                     assert close(got, q + mu, max(abs(q + mu), abs(q)))
@@ -423,26 +435,29 @@ def test_ground_vector_next_to_a_pole_stays_normalized(mp):
     amplitude there is ~h/b = 5e154 before normalization, whose square overflows."""
 
     x, z = 1e-140, -1e15
-    levels = lowest_levels(worst_case_diagonal(3, solution_index=0), "unscaled", [x], [z])
+    ground, head = lowest_levels(worst_case_diagonal(3, solution_index=0), "unscaled", [x], [z], 2).ground()
     poles, k = [mp.mpf(0), mp.mpf(1)], [1, 7]
     b, q = mp.mpf(x), mp.mpf(z / 4.0)
     mu0 = mp_secular_root(mp, poles, k, b, -2 * q, 0, b * b / (2 * q))  # first order in b
     amplitudes = [b / (mu0 - pole) for pole in poles]
     norm = mp.sqrt(sum(kk * a * a for kk, a in zip(k, amplitudes)) + 1)
-    assert abs(levels.head[0] - 1 / norm) <= 1e-13 / norm  # about 2e-155
-    for got, a in zip(levels.amplitudes[0].tolist(), amplitudes):
+    assert abs(head[0] - 1 / norm) <= 1e-13 / norm  # about 2e-155
+    for got, a in zip(ground[0].tolist(), amplitudes):
         assert abs(got - a / norm) <= 1e-13 * abs(a / norm)
 
 
 def test_a_point_solves_alike_alone_or_in_any_batch():
     # Sums over the poles and the vector norm must not change order with the
     # number of rows in the call: a point solved alone, within a permuted
-    # subset or within the whole batch gives the same bits.
+    # subset or within the whole batch gives the same bits.  Asking for fewer
+    # levels solves only the roots among them, which are the whole spectrum's:
+    # bit for bit at G <= 2, where every solve starts at the same model roots,
+    # and within 1e-13 above, where only a one-root solve gets a model start.
     rng = np.random.default_rng(1414)
     for g in range(1, 44):
         variant = VARIANTS[g % len(VARIANTS)]
         counts = rng.integers(1, 4, size=g)
-        counts[0] = 1 + g % 2  # a repeated lowest count leaves one root in lowest_levels
+        counts[0] = 1 + g % 2  # a repeated lowest count leaves one root for the two lowest levels
         entries = rng.permutation(np.repeat(np.arange(g) + g % 3, counts))
         diag = ViolationDiagonal(entries)
         assert diag.histogram.values.size == g
@@ -450,14 +465,41 @@ def test_a_point_solves_alike_alone_or_in_any_batch():
         zs = rng.uniform(-1.5, 1.5, size=11)
         xs[0] = 0.0  # the diagonal branch
         subset = rng.permutation(11)[:5]
-        whole = (lowest_levels(diag, variant, xs, zs), all_levels(diag, variant, xs, zs))
-        picks = [np.array([p]) for p in range(11)] + [subset]
-        for pick in picks:
-            low, full = lowest_levels(diag, variant, xs[pick], zs[pick]), all_levels(diag, variant, xs[pick], zs[pick])
-            for name in ("e0", "e1", "gap", "amplitudes", "head"):
-                assert bits(getattr(low, name)) == bits(getattr(whole[0], name)[pick]), (g, name, pick)
-            assert bits(full.roots) == bits(whole[1].roots[pick]), (g, pick)
-            assert bits(full.vectors()) == bits(whole[1].vectors()[pick]), (g, pick)
+
+        def solves(pick):
+            low = lowest_levels(diag, variant, xs[pick], zs[pick], 2)
+            full = lowest_levels(diag, variant, xs[pick], zs[pick])
+            return (low.level(0), low.level(1), low.gap(), *low.ground()), full.roots, full.vectors()
+
+        whole = solves(slice(None))
+        for pick in [np.array([p]) for p in range(11)] + [subset]:
+            low, roots, vectors = solves(pick)
+            for name, got, want in zip(("e0", "e1", "gap", "amplitudes", "head"), low, whole[0]):
+                assert bits(got) == bits(want[pick]), (g, name, pick)
+            assert bits(roots) == bits(whole[1][pick]), (g, pick)
+            assert bits(vectors) == bits(whole[2][pick]), (g, pick)
+
+        full = lowest_levels(diag, variant, xs, zs)
+        assert full.roots.shape[1] == g + 1
+        roots_of_the_spectrum = np.concatenate(([0], np.cumsum(counts))).tolist()
+        for count, solved in ((1, 1), (2, 2 if counts[0] == 1 else 1)):
+            part = lowest_levels(diag, variant, xs, zs, count)
+            assert part.roots.shape[1] == solved, (g, count)
+            got = [part.level(i) for i in range(count)] + list(part.ground()) + [part.vectors()]
+            want = [full.level(i) for i in range(count)] + list(full.ground()) + [full.vectors()[..., :solved]]
+            for a, b in zip(got, want):
+                if g <= 2:
+                    assert bits(a) == bits(b), (g, count)
+                else:
+                    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * np.max(np.abs(b)))
+            if count in roots_of_the_spectrum:
+                with pytest.raises(IndexError, match="root"):
+                    part.level(count)
+                if count == 1:
+                    with pytest.raises(IndexError, match="root 1"):
+                        part.gap()
+            else:
+                assert bits(part.level(count)) == bits(full.level(count))
 
 
 def evolution_midpoints(steps=2000):
@@ -479,8 +521,8 @@ def test_small_sectors_solve_in_a_step_and_a_check(n, monkeypatch):
     for diag, groups, budget in ((worst_case_diagonal(n, 5 % 2**n), 2, 1), (worst_case_diagonal(n), 1, 2)):
         assert diag.histogram.values.size == groups
         monkeypatch.setattr(eigensolver, "_STEP_BUDGET", budget)
-        lowest_levels(diag, "unscaled", xs, zs)
-        all_levels(diag, "unscaled", xm, zm)
+        lowest_levels(diag, "unscaled", xs, zs, 2)
+        lowest_levels(diag, "unscaled", xm, zm)
 
 
 def test_levels_near_the_gap_minimum_match_mpmath(mp, monkeypatch):
@@ -494,10 +536,12 @@ def test_levels_near_the_gap_minimum_match_mpmath(mp, monkeypatch):
     real = eigensolver.lowest_levels
     rounds = []
 
-    def spy(diag, variant, x, z):
-        levels = real(diag, variant, x, z)
-        best = int(np.argmin(levels.gap))
-        rounds.append((x, np.broadcast_to(z, x.shape), levels, range(max(best - 1, 0), min(best + 2, x.size))))
+    def spy(diag, variant, x, z, count):
+        levels = real(diag, variant, x, z, count)
+        gap = levels.gap()
+        best = int(np.argmin(gap))
+        low = levels.level(0), levels.level(1), gap, *levels.ground()
+        rounds.append((x, np.broadcast_to(z, x.shape), low, range(max(best - 1, 0), min(best + 2, x.size))))
         return levels
 
     monkeypatch.setattr(eigensolver, "lowest_levels", spy)
@@ -509,20 +553,20 @@ def test_levels_near_the_gap_minimum_match_mpmath(mp, monkeypatch):
             factor, divisor = variant_scales(variant, diag.dimension)
             poles = [mp.mpf(factor * float(u)) for u in diag.histogram.values]
             k = [int(c) for c in diag.histogram.counts]
-            for xs, zs, low, near in rounds:
+            for xs, zs, (e0, e1, gap, ground, head), near in rounds:
                 for p in near:
                     if xs[p] == 0.0:
                         continue  # flat: the sorted diagonal, checked bit for bit elsewhere
                     quarter = float(zs[p]) / 4.0
                     b, q = mp.mpf(float(xs[p]) / divisor), mp.mpf(quarter)
-                    mu0 = mp_secular_root(mp, poles, k, b, -2 * q, 0, low.e0[p] - quarter)
-                    mu1 = poles[0] if k[0] > 1 else mp_secular_root(mp, poles, k, b, -2 * q, 1, low.e1[p] - quarter)
+                    mu0 = mp_secular_root(mp, poles, k, b, -2 * q, 0, e0[p] - quarter)
+                    mu1 = poles[0] if k[0] > 1 else mp_secular_root(mp, poles, k, b, -2 * q, 1, e1[p] - quarter)
                     amplitudes = [b / (mu0 - pole) for pole in poles]
                     norm = mp.sqrt(sum(kk * a * a for kk, a in zip(k, amplitudes)) + 1)
-                    assert close(low.e0[p], q + mu0, max(abs(q + mu0), abs(q)))
-                    assert close(low.gap[p], mu1 - mu0)
-                    assert close(low.head[p], 1 / norm)
-                    for got, a in zip(low.amplitudes[p].tolist(), amplitudes):
+                    assert close(e0[p], q + mu0, max(abs(q + mu0), abs(q)))
+                    assert close(gap[p], mu1 - mu0)
+                    assert close(head[p], 1 / norm)
+                    for got, a in zip(ground[p].tolist(), amplitudes):
                         assert close(got, a / norm)
                     checked += 1
     assert checked > 9 * 3 * 2 * 3
@@ -567,8 +611,8 @@ def test_levels_next_to_the_x_scaled_crossing_match_mpmath(mp):
 
     for n, variant in itertools.product(range(16, 61, 4), VARIANTS):
         sec = closed_form_worst_case(n, variant, CROSSING_XS, -1.0)
-        roots, origin, offset, _ = eigensolver._sector_roots(sec, -sec.quarter, 2)
-        gap = (origin[:, 1] - origin[:, 0]) + (offset[:, 1] - offset[:, 0])  # as lowest_levels takes it
+        roots, origin, offset, *_ = eigensolver._sector_roots(sec, -sec.quarter, 2)
+        gap = (origin[:, 1] - origin[:, 0]) + (offset[:, 1] - offset[:, 0])  # as Levels.gap takes it
         poles, k = [mp.mpf(0), mp.mpf(float(sec.poles[1]))], [1, 2**n - 1]
         q = mp.mpf(-0.25)
         for p, b in enumerate(sec.border.tolist()):
@@ -585,8 +629,8 @@ def test_roots_end_on_a_bracket_with_no_float_inside(monkeypatch):
     xs, zs = LoopPath.default_rectangle().sample_coordinates()
     diags = (worst_case_diagonal(3, 5), violation_diagonal(random_instance(6, 40, 0)))
     for diag, variant in itertools.product(diags, VARIANTS):
-        want = all_levels(diag, variant, xs, zs).roots
+        want = lowest_levels(diag, variant, xs, zs).roots
         with monkeypatch.context() as patch:
             patch.setattr(eigensolver, "_EPS", 0.0)
-            got = all_levels(diag, variant, xs, zs).roots
+            got = lowest_levels(diag, variant, xs, zs).roots
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))

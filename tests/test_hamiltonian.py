@@ -126,6 +126,9 @@ def test_direct_construction_validates_body_shape():
         ArrowheadHamiltonian(
             body_diag=np.array([[1.0, 2.0]]), border=0.1, head_diag=0.0
         )
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            ArrowheadHamiltonian(body_diag=np.array([1.0, bad]), border=0.1, head_diag=0.0)
 
 
 def test_x_scaled_uses_current_dimension_after_restriction():

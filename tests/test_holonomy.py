@@ -12,6 +12,7 @@ from diaboli import (
     VARIANTS,
     ConvergenceFailure,
     DegenerateOnLoop,
+    Levels,
     LoopPath,
     OpenLoop,
     ParameterPoint,
@@ -83,14 +84,18 @@ def test_gauge_flips_do_not_change_the_phase(monkeypatch):
     flip = np.random.default_rng(7)
     flipped = 0
 
-    def noisy(diag, variant, x, z):
+    def noisy(diag, variant, x, z, count):
         nonlocal flipped
-        levels = real(diag, variant, x, z)
-        signs = np.where(flip.integers(0, 2, size=levels.head.size) == 1, -1.0, 1.0)
+        levels = real(diag, variant, x, z, count)
+        signs = np.where(flip.integers(0, 2, size=len(levels.roots)) == 1, -1.0, 1.0)
         flipped += int(np.count_nonzero(signs < 0))
-        return dataclasses.replace(
-            levels, amplitudes=levels.amplitudes * signs[:, None], head=levels.head * signs
-        )
+
+        class Flipped(Levels):
+            def ground(self):
+                amplitudes, head = super().ground()
+                return amplitudes * signs[:, None], head * signs
+
+        return Flipped(**vars(levels))
 
     monkeypatch.setattr(holonomy, "lowest_levels", noisy)
     for n in (3, 7):
@@ -133,9 +138,9 @@ def test_default_loop_is_sampled_once(monkeypatch):
     real = holonomy.lowest_levels
     batches = []
 
-    def recording(diag, variant, x, z):
+    def recording(diag, variant, x, z, count):
         batches.append(x)
-        return real(diag, variant, x, z)
+        return real(diag, variant, x, z, count)
 
     monkeypatch.setattr(holonomy, "lowest_levels", recording)
     diag = worst_case_diagonal(3, solution_index=1)
@@ -158,9 +163,9 @@ def test_degenerate_corner_raises(monkeypatch):
     real = holonomy.lowest_levels
     solved = []
 
-    def counting(diag, variant, x, z):
+    def counting(diag, variant, x, z, count):
         solved.append(x.size)
-        return real(diag, variant, x, z)
+        return real(diag, variant, x, z, count)
 
     monkeypatch.setattr(holonomy, "lowest_levels", counting)
     with pytest.raises(DegenerateOnLoop):
@@ -405,13 +410,13 @@ def test_a_prefetch_that_fails_off_the_walk_falls_back(monkeypatch):
     real = holonomy.lowest_levels
     batches, raised = [], []
 
-    def solve(diag, variant, x, z):
+    def solve(diag, variant, x, z, count):
         # fails every batch holding a point outside the walk
         batches.append(set(zip(x.tolist(), z.tolist())))
         if not batches[-1] <= walked:
             raised.append(x.size)
             raise ConvergenceFailure("1 secular root(s) missed tolerance after 64 steps")
-        return real(diag, variant, x, z)
+        return real(diag, variant, x, z, count)
 
     monkeypatch.setattr(holonomy, "lowest_levels", solve)
     assert repr(dataclasses.astuple(berry_phase(diag, collect_log=True))) == repr(dataclasses.astuple(result))
@@ -440,12 +445,17 @@ def test_points_prefetched_off_the_walk_do_not_reach_the_result(monkeypatch):
     real = holonomy.lowest_levels
     hidden = []
 
-    def solve(diag, variant, x, z):
+    def solve(diag, variant, x, z, count):
         # a zero gap anywhere off the walk would show in min_gap_on_loop
-        levels = real(diag, variant, x, z)
+        levels = real(diag, variant, x, z, count)
         off = np.array([point not in walked for point in zip(x.tolist(), z.tolist())], dtype=bool)
         hidden.append(int(np.count_nonzero(off)))
-        return dataclasses.replace(levels, gap=np.where(off, 0.0, levels.gap))
+
+        class Hidden(Levels):
+            def gap(self):
+                return np.where(off, 0.0, super().gap())
+
+        return Hidden(**vars(levels))
 
     monkeypatch.setattr(holonomy, "lowest_levels", solve)
     assert repr(dataclasses.astuple(berry_phase(diag, collect_log=True))) == repr(dataclasses.astuple(result))
@@ -458,9 +468,9 @@ def test_a_decide_at_n16_takes_a_few_batched_solves(monkeypatch):
     real = holonomy.lowest_levels
     calls = []
 
-    def counted(diag, variant, x, z):
+    def counted(diag, variant, x, z, count):
         calls.append(x.size)
-        return real(diag, variant, x, z)
+        return real(diag, variant, x, z, count)
 
     monkeypatch.setattr(holonomy, "lowest_levels", counted)
     for solution, refined in ((12345, 20), (None, 7)):

@@ -18,6 +18,7 @@ from diaboli import (
     violation_diagonal,
     worst_case_diagonal,
 )
+from diaboli.instance import MAX_VARS
 
 
 def count_violations_slow(inst: CnfInstance, assignment: int) -> int:
@@ -59,8 +60,10 @@ def test_parse_clause_spanning_lines():
 
 
 def test_parse_rejects_missing_header():
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(MalformedHeader, match="before the 'p cnf' header"):
         parse_dimacs("1 2 3 0\n")
+    with pytest.raises(MalformedHeader, match="no 'p cnf' header"):
+        parse_dimacs("c only a comment\n\n")
 
 
 def test_parse_rejects_duplicate_header():
@@ -71,6 +74,11 @@ def test_parse_rejects_duplicate_header():
 def test_parse_rejects_bad_header_counts():
     with pytest.raises(MalformedHeader):
         parse_dimacs("p cnf three 1\n1 2 3 0\n")
+    for header in ("p cnf 3", "p dnf 3 1", "pcnf 3 1 0"):
+        with pytest.raises(MalformedHeader, match="unreadable header"):
+            parse_dimacs(f"{header}\n1 2 3 0\n")
+    with pytest.raises(MalformedHeader, match="non-integer token"):
+        parse_dimacs("p cnf 3 1\n1 x 3 0\n")
 
 
 def test_parse_rejects_wrong_arity():
@@ -78,6 +86,8 @@ def test_parse_rejects_wrong_arity():
         parse_dimacs("p cnf 3 1\n1 2 0\n")
     with pytest.raises(ClauseArityError):
         parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
+    with pytest.raises(ClauseArityError, match="trailing literals"):
+        parse_dimacs("p cnf 3 1\n1 2 3 0\n-1 2\n")
 
 
 def test_parse_rejects_duplicate_variable():
@@ -228,6 +238,8 @@ def test_diagonal_infers_n_vars_only_for_power_of_two():
     assert ViolationDiagonal(np.array([3, 1], dtype=np.uint8)).entries.dtype == np.int64
     with pytest.raises(IndexOutOfRange):
         ViolationDiagonal(np.array([], dtype=np.int64))
+    with pytest.raises(IndexOutOfRange, match="longer than"):
+        ViolationDiagonal(np.zeros(2**MAX_VARS + 1, dtype=np.int64))
     for malformed in ([[0, 1], [1]], ["1", "x"], [None, 1]):
         with pytest.raises(IndexOutOfRange):
             ViolationDiagonal(malformed)
@@ -246,6 +258,10 @@ def test_clause_validation_on_direct_construction():
         CnfInstance(n_vars=np.int64(0), clauses=((1, 2, 3),))
     with pytest.raises(MalformedHeader):
         CnfInstance(n_vars=True, clauses=((1, 2, 3),))
+    with pytest.raises(MalformedHeader, match="at most"):
+        CnfInstance(n_vars=MAX_VARS + 1, clauses=((1, 2, 3),))
+    with pytest.raises(ClauseCountMismatch, match="at least one clause"):
+        CnfInstance(n_vars=3, clauses=())
     inst = CnfInstance(n_vars=np.int64(3), clauses=((1, 2, 3),))
     assert inst == CnfInstance(n_vars=3, clauses=((1, 2, 3),)) and type(inst.n_vars) is int
 

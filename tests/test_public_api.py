@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -25,9 +26,47 @@ def test_removed_names_are_gone():
         diaboli.eigen_arrowhead(ham, want_ground_vector=True)
     with pytest.raises(TypeError):
         diaboli.Schedule(total_time=10.0, min_speed_fraction=0.05)
+    for name in ("LowestLevels", "AllLevels", "all_levels"):
+        assert not hasattr(diaboli, name), name
+        assert not hasattr(diaboli.eigensolver, name), name
+    with pytest.raises(TypeError):
+        diaboli.lowest_levels(diaboli.worst_case_diagonal(3, 5), "unscaled", 0.5, -1.0, _roots=1)
 
 
 def test_only_hamiltonian_decides_the_variant_scaling():
     package = Path(diaboli.__file__).parent
     users = sorted(p.name for p in package.glob("*.py") if "variant_scales" in p.read_text())
     assert users == ["hamiltonian.py"]
+
+
+def tracer_targets() -> set[tuple[str, str]]:
+    """The (module, name) pairs that ``perfbench/tracer.py`` wraps, read from the source of its ``TARGETS``."""
+
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
+    rows = next(
+        node.value.elts
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "TARGETS" for target in node.targets)
+    )
+    return {(row.elts[0].value, row.elts[1].value.split(".")[0]) for row in rows}
+
+
+def test_every_imported_name_is_used():
+    # Names the tracer wraps are kept where it looks for them, used or not.
+    wrapped = tracer_targets()
+    unused = []
+    for path in sorted(Path(diaboli.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        kept = {name for module, name in wrapped if module == f"diaboli.{path.stem}"}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used | kept]
+    assert ("diaboli.cli", "build") in wrapped
+    assert unused == []
