@@ -13,23 +13,22 @@ k - 1 eigenvalues equal to that value exactly (deflation): only the
 uniform combination of the repeated states couples to the head.
 
 Each root is solved as an offset from an origin, as LAPACK's ``dlaed4``
-does (R.-C. Li, LAPACK Working Note 89, 1993).  It starts at the root of
-a three-level model of its sector: the head and the lowest group exact,
-the other groups lumped into one level.  With two groups the model is
-the sector, and its closed-form roots are the sector's to a few ulps;
-with more it places only the leftmost root, so a solve asking for more
-roots starts each at the middle of its interlacing interval, where one
-evaluation picks the half that holds it (as do all roots of one group,
-whose rational steps are exact from any start).  The origin is the bracket
-pole nearer the start; the leftmost root keeps origin 0 when it lies
-nearer 0 than a positive first pole.  Rational steps then keep the
-nearest pole's term exactly, model the rest of the secular function by
-its tangent, and fall back to halving the bracket when they leave it.  A
-root ends when the secular function is within its own rounding-error bound,
-as in ``dlaed4``, taking its last step if that stays in the bracket, or when
-its bracket holds no float strictly inside; a root still open when the step
-budget runs out raises ``ConvergenceFailure``.  Differences between poles are
-exact, so the distance from a root ``lam = sigma + tau`` to each body
+does (R.-C. Li, LAPACK Working Note 89, 1993).  It starts at a root of a
+closed-form model: with one or two groups the sector itself, whose roots
+come to a few ulps; with more, for the two leftmost roots, models that
+keep the head and the lowest groups exact and lump or hold the others.
+A solve asking for more roots at G > 2 starts each at the middle of its
+interlacing interval, where one evaluation picks the half that holds it.
+The origin is the bracket pole nearer the start; the leftmost root keeps
+origin 0 when it lies nearer 0 than a positive first pole.  Rational
+steps then keep the nearest pole's term exactly, model the rest of the
+secular function by its tangent, and fall back to halving the bracket
+when they leave it.  A root ends when the secular function is within its
+own rounding-error bound, as in ``dlaed4``, taking its last step if that
+stays in the bracket, or when its bracket holds no float strictly inside;
+a root still open when the step budget runs out raises
+``ConvergenceFailure``.  Differences between poles are exact, so the
+distance from a root ``lam = sigma + tau`` to each body
 value keeps its relative accuracy however close the root lies to a pole,
 and the root's eigenvector follows in closed form:
 
@@ -143,7 +142,7 @@ def _pole_sum(terms: np.ndarray) -> np.ndarray:
     do not depend on the batch it is solved in.
     """
 
-    return terms.sum(axis=0) if terms[0].size > 1 else np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0) if terms[0].size > 1 else np.add.accumulate(terms, axis=0)[-1]
 
 
 def _root_pair(total: np.ndarray, product: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,221 +157,234 @@ def _root_pair(total: np.ndarray, product: np.ndarray) -> tuple[np.ndarray, np.n
     return np.minimum(big, small), np.maximum(big, small)
 
 
+def _three_level_roots(far, h: np.ndarray, w0: np.ndarray, w1: np.ndarray, upper: bool) -> tuple:
+    """``low, high[, low1, high1]``: roots of ``[[0, 0, sqrt w0], [0, far, sqrt w1], [sqrt w0, sqrt w1, h]]``.
+
+    The top one comes in trigonometric form, the lower two from the quadratic it leaves, whose sum meets
+    ``top - far`` only times ``w0 / top`` (a far pole costs no digits), the upper two relative to ``far``.
+    """
+
+    third = (far + h) / 3.0
+    d1 = far - third
+    square = (h * (h - far) + (far * far + 3.0 * (w0 + w1))) / 9.0  # (trace of (M - third)**2) / 6
+    scale = np.sqrt(square)
+    cosine = 0.5 * (third * (w1 - d1 * (h - third)) - d1 * w0) / (square * scale)  # det(M - third) / (2 scale**3)
+    top = third + 2.0 * scale * np.cos(np.arccos(np.minimum(np.maximum(cosine, -1.0), 1.0)) / 3.0)
+    low, high = _root_pair((far * h - w1 - w0 * ((top - far) / top)) / top, -w0 * (far / top))
+    if not upper:
+        return low, high
+    return (low, high, *_root_pair((h - far) - low, far * w1 / (low - far)))  # det(M - far) = far * w1
+
+
 def _model_start(
     poles: np.ndarray, k: np.ndarray, size: int, b2: np.ndarray, head: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Starts for the ``count`` leftmost roots from a three-level model of the sector, or None.
+    """Starts ``(right, tau)`` for the ``count`` leftmost roots from closed-form models, or None.
 
-    The model keeps the head and the lowest group exact and lumps the other
-    groups into one level at their count-weighted mean pole, carrying their
-    summed weight; at ``G = 2`` it is the sector itself.  Its roots are
-    taken in closed form relative to a pole, from exact pole differences:
-    the top root by the trigonometric form of the 3x3 eigenvalues, the other
-    two from the quadratic the top root leaves, whose product keeps its
-    relative accuracy however close a root lies to the pole, so at ``G = 2``
-    a root usually ends at its first evaluation.  At ``G > 2`` only root 0
-    is placed well, so a call asking for more gets no starts.  Nor does
-    ``G = 1``: there the first rational step is exact from any start.
-
-    Returns ``right`` and ``tau``, shaped ``(count, points)``: whether a
-    root's origin is the right end of its bracket (as in ``_leftmost_roots``)
-    and its start as an offset from that origin.
+    At ``G <= 2`` the model is the sector, so a root usually ends at its first evaluation.  At ``G > 2``
+    root 0's model lumps groups 1.. at their count-weighted mean pole, and root 1's keeps groups 0 and 1
+    and holds the others' sum at its value mid-bracket; more roots get no starts.  ``right`` says
+    whether a root's origin is the right end of its bracket, ``tau`` is its start from there.
     """
 
     g = poles.size
-    if g == 1 or (g > 2 and count > 1):
+    if g > 2 and count > 2:
         return None
-    w0, w1 = k[0] * b2, (size - k[0]) * b2
-    h = head - poles[0]
-    far = float(k[1:] @ (poles[1:] - poles[0])) / (size - k[0])
-    # Top eigenvalue of [[0, 0, sqrt w0], [0, far, sqrt w1], [sqrt w0, sqrt w1, h]].
-    mean = (far + h) / 3.0
-    d0, d1, d2 = -mean, far - mean, h - mean
-    square = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * size * b2) / 6.0
-    scale = np.sqrt(square)
-    cosine = (d0 * d1 * d2 - d0 * w1 - d1 * w0) / (2.0 * square * scale)
-    top = mean + 2.0 * scale * np.cos(np.arccos(np.clip(cosine, -1.0, 1.0)) / 3.0)
-    # The other two roots sum to the trace minus top, and multiply to det / top.
-    low, high = _root_pair((h + far) - top, -w0 * (far / top))
-
-    right = np.ones((count, head.size), dtype=bool)
-    tau = np.empty((count, head.size))
-    # Root 0 keeps origin 0 below poles[0] / 2, as the midpoint split does.
-    right[0] = ~((poles[0] > 0.0) & (low < -0.5 * poles[0]))
-    tau[0] = np.where(right[0], low, poles[0] + low)
-    if count > 1:
-        # Roots 1 and 2 relative to poles[1]: the root below poles[0] is known,
-        # and the determinant there is far * w1.
-        low1, high1 = _root_pair((h - far) - low, far * w1 / (low - far))
-        right[1] = high > 0.5 * far
-        tau[1] = np.where(right[1], low1, high)
+    h, w0, others = head - poles[0], k[0] * b2, size - k[0]
+    if g == 1:
+        low, high = _root_pair(h, -w0)
+    else:
+        far = float(k[1:] @ (poles[1:] - poles[0])) / others  # the lumped level
+        if g == 2 or count == 1:
+            low, high, *upper = _three_level_roots(far, h, w0, others * b2, g == 2 and count > 1)
+        else:  # both models as one batch
+            width = poles[1] - poles[0]
+            held = float(k[2:] @ (1.0 / ((poles[2:] - poles[0]) - 0.5 * width)))
+            fars, helds, weights = np.array([[far, 0.0, others], [width, held, k[1]]]).T[:, :, None]
+            low, high = _three_level_roots(fars, h - helds * b2, w0, weights * b2, False)
+            low, high, upper = low[0], high[1], [high[1] - width]
+    right, tau = np.ones((count, head.size), dtype=bool), np.empty((count, head.size))
+    tau[0] = low
+    if poles[0] > 0.0:
+        # Root 0 keeps origin 0 below poles[0] / 2, as the midpoint split does; there it is the head
+        # level less the poles' small terms, as poles[0] + low would cancel.
+        right[0] = ~(low < -0.5 * poles[0])
+        zero = head - high if g == 1 else poles[0] + low  # at G = 1 the roots sum to h
+        if g > 1:
+            zero = head - (w0 / (poles[0] - zero) + (others * b2) / ((poles[0] + far) - zero))
+        tau[0] = np.where(right[0], low, zero)
+    if count > 1 and g == 1:
+        tau[1] = high  # both ends of root 1's bracket are poles[0]
+    elif count > 1:  # root 1, and root 2, relative to poles[1] when nearer it
+        right[1] = high > 0.5 * (far if g == 2 else width)
+        tau[1] = np.where(right[1], upper[0], high)
         if count > 2:
-            tau[2] = high1
+            tau[2] = upper[1]
     return right, tau
 
 
 def _leftmost_roots(
-    poles: np.ndarray, k: np.ndarray, size: int, border: np.ndarray, head: np.ndarray, count: int
+    poles: np.ndarray, k: np.ndarray, size: int, b2: np.ndarray, head: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` leftmost secular roots at every point, as ``origin + offset``.
 
     ``poles`` are the distinct body levels (ascending) of multiplicity
-    ``k``, ``size`` is ``sum(k)``, and each point has its own border with
-    ``border**2 > 0`` and head level ``head``.  The violation-diagonal
-    callers work in the frame ``mu = lam - z/4``, where the poles ``s * u_g``
-    do not move with the point.  Root ``j`` lies between poles ``j - 1`` and
-    ``j``, so ``count = G + 1`` gives all the non-deflated levels.
+    ``k``, ``size`` is ``sum(k)``, and each point has its own squared border
+    ``b2 > 0`` and head level ``head``.  The violation-diagonal callers
+    work in the frame ``mu = lam - z/4``, where the poles ``s * u_g`` do not
+    move with the point.  Root ``j`` lies between poles ``j - 1`` and ``j``,
+    so ``count = G + 1`` gives all the non-deflated levels.
 
-    Both results are shaped ``(points, count)``.  ``origin`` is the bracket
+    Both results are shaped ``(count, points)``.  ``origin`` is the bracket
     pole nearer the root, or 0 for a leftmost root nearer 0 than a positive
     ``poles[0]``; ``offset`` is the root minus its origin, so
     ``poles - origin - offset`` keeps its relative accuracy however close
     the root sits to a pole.
 
-    Each root starts at its ``_model_start`` root when the call gets starts
-    (``G = 2``, or ``G > 2`` and ``count == 1``) and that root lies strictly
-    inside its bracket.  Other roots start at the middle of their bracket,
-    where the sign of f picks the origin.  A root ends when ``|f|`` is within
-    f's rounding-error bound, where the sign of f means nothing (next to an
-    avoided crossing f cancels to noise well before steps settle), and then
-    takes its last step if that lies inside its bracket.  A root whose
-    bracket holds no float strictly inside ends where it stands.
+    Each root starts at its ``_model_start`` root if it gets one strictly
+    inside its bracket, else at the middle of its bracket, where the sign of
+    f picks the origin.  A root ends when ``|f|`` is within f's rounding-error
+    bound, where the sign of f means nothing (next to an avoided crossing f
+    cancels to noise well before steps settle), and then takes its last step
+    if that lies inside its bracket; or where it stands, when its bracket
+    holds no float strictly inside.  Callers turn numpy's warnings off.
     """
 
-    points, g = border.size, poles.size
+    points, g = b2.size, poles.size
+    rows, by_root = points * count, (count, points)
     j = np.arange(count)
     near_left, near_right = np.maximum(j - 1, 0), np.minimum(j, g - 1)
-    origin_left, origin_right = poles[near_left], poles[near_right]
-    total = math.sqrt(size) * np.abs(border) + 1.0
-    lo = np.repeat(origin_left[:, None], points, axis=1)
-    hi = np.repeat(origin_right[:, None], points, axis=1)
+    left_pole, right_pole = poles[near_left], poles[near_right]
+    origin_left = left_pole.copy()
+    if poles[0] > 0.0:
+        origin_left[0] = 0.0  # the leftmost root keeps origin 0 when it lies nearer 0 than poles[0]
+    # The rows' constants, stacked so that one compress drops finished rows.  Rows are root-major,
+    # so that neighbouring rows are neighbouring points and take the same branches.
+    state = np.empty((2 * g + 7, rows))
+    shifted, weight = state[:g], state[g : 2 * g]
+    level, near_pole, near_weight, four_weight, side, summed, reach = state[2 * g :]
+    np.multiply(k[:, None, None], b2, out=weight.reshape((g,) + by_root))
+    np.multiply(size, b2, out=summed.reshape(by_root))
+    total = np.sqrt(summed[:points]) + 1.0
+    lo = np.repeat(left_pole[:, None], points, axis=1)
+    hi = np.repeat(right_pole[:, None], points, axis=1)
     lo[0] = np.minimum(poles[0], head) - total
     if count > g:
         hi[g] = np.maximum(poles[-1], head) + total
-    split = 0.5 * (lo + hi)
+
+    # A row starts at its model root when that lies strictly inside its
+    # bracket, and its origin is the bracket pole nearer the start.
+    start = _model_start(poles, k, size, b2, head, count)
+    if start is not None:
+        right, tau = start
+        origin = np.where(right, right_pole[:, None], origin_left[:, None])
+        placed = (lo - origin < tau) & (tau < hi - origin)
+    if start is None or np.count_nonzero(placed) < rows:
+        # One evaluation at the split point picks the half of the bracket
+        # that holds the root, and with it the origin: the pole at that end.
+        split = 0.5 * (lo + hi)
+        if poles[0] > 0.0:
+            split[0] = 0.5 * poles[0]
+        dist = poles[:, None] - split.reshape(-1)
+        terms = weight / dist
+        split_right = ((head - split).reshape(-1) - _pole_sum(terms) > 0).reshape(by_root)  # f decreases
+        right = split_right if start is None else np.where(placed, right, split_right)
+        origin = np.where(right, right_pole[:, None], origin_left[:, None])
+        tau = split - origin if start is None else np.where(placed, tau, split - origin)
+    lo, hi, tau = (lo - origin).reshape(-1), (hi - origin).reshape(-1), tau.reshape(-1)
+    # The shifted poles are exact pole differences.  The near pole's own
+    # term is kept apart, so the rest of the sum never cancels against it.
+    np.subtract(poles[:, None, None], origin, out=shifted.reshape((g,) + by_root))
+    np.subtract(head, origin, out=level.reshape(by_root))
+    np.multiply(np.where(right, k[near_right][:, None], k[near_left][:, None]), b2, out=near_weight.reshape(by_root))
+    np.multiply(4.0, near_weight, out=four_weight)
+    # A row's origin is its near pole but for a leftmost root kept at origin 0,
+    # and only a row at its near pole may step in the pole's own frame.
+    near_pole[:], reach[:] = 0.0, 0.5
     if poles[0] > 0.0:
-        # The leftmost root keeps origin 0 when it lies nearer 0 than poles[0].
-        origin_left[0] = 0.0
-        split[0] = 0.5 * poles[0]
+        near_pole[:points] = poles[0] - origin[0]
+        reach[:points] = np.where(right[0], 0.5, -np.inf)
+    np.copysign(1.0, near_pole - tau, out=side)  # +1 when the near pole lies right of the root
+    picked = np.where(right, near_right[:, None], near_left[:, None]).reshape(-1), np.arange(rows)
+    shifted[picked] = np.inf
+    # f's rounding error is within eps * ((G + 3) * (sum |far terms| + |rest|) + 5 * slope * |tau|):
+    # dlaed4's kind of bound, (G + 2) * sum |terms| + |level| + |tau| * (1 + 3 * slope), read with
+    # |near term| <= |rest| + |f| and |level| <= |rest| + |tau| + sum |far terms|.  By Cauchy-Schwarz,
+    # sum |far terms| <= sqrt(size * b2 * curve).
+    ulps = _EPS * (g + 3)
+    if start is None:
+        # Without model starts, the split evaluation serves the first step, its near term taken out.
+        terms[picked] = 0.0
+        rest = (head - split).reshape(-1) - _pole_sum(terms)
+        curve = _pole_sum(terms / dist)
 
-    # One row per root, root-major, so that neighbouring rows are
-    # neighbouring points and take the same branches; sums over the poles
-    # run down axis 0.
-    rows = points * count
-    lo, hi, split = lo.reshape(-1), hi.reshape(-1), split.reshape(-1)
-    b2 = border * border
-    weight = np.tile(k[:, None] * b2, count)  # (G, rows)
-    origin_left, origin_right = np.repeat(origin_left, points), np.repeat(origin_right, points)
-    near_left, near_right = np.repeat(near_left, points), np.repeat(near_right, points)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # A row starts at its model root when that lies strictly inside its
-        # bracket, and its origin is the bracket pole nearer the start.
-        start = _model_start(poles, k, size, b2, head, count)
-        if start is not None:
-            right, guess = (a.reshape(-1) for a in start)
-            origin = np.where(right, origin_right, origin_left)
-            placed = (lo - origin < guess) & (guess < hi - origin)
-        head = np.tile(head, count)
-        if start is None or not placed.all():
-            # One evaluation at the split point picks the half of the bracket
-            # that holds the root, and with it the origin: the pole at that end.
-            dist = poles[:, None] - split
+    offset, work, closed = np.empty(rows), np.arange(rows), 0  # closed: how many finished rows' brackets have closed
+    for steps in range(_STEP_BUDGET):
+        if (steps or start is not None) and g > 1:
+            dist = shifted - tau
             terms = weight / dist
-            value = head - split - _pole_sum(terms)
-            split_right = value > 0  # f decreases, so the root lies right of the split
-            right = split_right if start is None else np.where(placed, right, split_right)
-        near = np.where(right, near_right, near_left)
-        origin = np.where(right, origin_right, origin_left)
-        lo, hi, tau = lo - origin, hi - origin, split - origin
-        if start is not None:
-            tau = np.where(placed, guess, tau)
-        picked = near, np.arange(rows)
-        near_weight = weight[picked]
-        near_pole = poles[near] - origin  # 0, or poles[0] for a root kept at origin 0
-        side = np.copysign(1.0, near_pole - tau)  # +1 when the near pole lies right of the root
-        # The shifted poles are exact pole differences.  The near pole's own
-        # term is kept apart, so the rest of the sum never cancels against it.
-        shifted = poles[:, None] - origin
-        shifted[picked] = np.inf
-        level = head - origin
-        at_pole = near_pole == 0.0
-        # f's rounding error is within eps * ((G + 3) * (sum |far terms| + |rest|) + 5 * slope * |tau|):
-        # dlaed4's kind of bound, (G + 2) * sum |terms| + |level| + |tau| * (1 + 3 * slope), read with
-        # |near term| <= |rest| + |f| and |level| <= |rest| + |tau| + sum |far terms|.  By Cauchy-Schwarz,
-        # sum |far terms| <= sqrt(size * b2 * curve).
-        ulps = _EPS * (g + 3)
-        summed = np.tile(size * b2, count)  # the poles' summed weight
-        if start is None:
-            # Without model starts, the split evaluation serves the first step, its near term taken out.
-            terms[picked] = 0.0
-            rest = head - split - _pole_sum(terms)
-            curve = _pole_sum(terms / dist)
-
-        offset = np.empty(rows)
-        work = np.arange(rows)
-        active = np.ones(rows, dtype=bool)
-        for steps in range(_STEP_BUDGET):
-            if steps or start is not None:
-                dist = shifted - tau
-                terms = weight / dist
-                rest = level - tau - _pole_sum(terms)
-                curve = _pole_sum(terms / dist)
-            # f(tau) = rest - near_weight / (near_pole - tau), where rest is everything
-            # else (the head level, -tau and the far poles), of slope 1 + curve.
-            slope = 1.0 + curve
-            gap = near_pole - tau
-            value = rest - near_weight / gap
-            positive = value > 0
-            lo = np.where(positive, tau, lo)
-            hi = np.where(positive, hi, tau)
-            # Rational step: keep the near pole's term exactly and model the
-            # rest by its tangent.  The new distance to the near pole solves
-            # a quadratic, and so does the increment, a multiple of f; each
-            # form is written without cancellation.  The increment is taken
-            # unless the origin is the near pole and the step at least halves
-            # the offset: then the new distance is the new offset itself,
-            # which keeps its relative accuracy however close it lies.
-            span = side * gap
-            lean = side * rest
-            tilt = slope * span
-            below, above = lean - tilt, lean + tilt
-            root = np.sqrt(below * below + 4.0 * slope * near_weight)
-            twice = 2.0 * slope
-            step = tau + np.where(above > 0, 2.0 * span * value / (above + root), side * (above - root) / twice)
-            jump = -side * np.where(below > 0, 2.0 * near_weight / (root + below), (root - below) / twice)
-            abs_tau = np.abs(tau)
-            step = np.where(at_pole & (np.abs(jump) <= 0.5 * abs_tau), jump, step)
-            # A root is done when f is within its rounding-error bound, and
-            # still takes its last step when that lies inside the bracket.
-            finished = np.abs(value) <= ulps * (np.sqrt(summed * curve) + np.abs(rest)) + 5.0 * _EPS * slope * abs_tau
-            inside = (lo < step) & (step < hi)
-            last, tau = tau, np.where(inside, step, np.where(finished, tau, 0.5 * (lo + hi)))
-            # tau is an end of its bracket, and so is the midpoint only when no
-            # float lies strictly inside: such a root ends where it stands.
-            finished |= tau == last
-            done = active & finished
-            offset[work[done]] = tau[done]
-            active ^= done
-            live = np.count_nonzero(active)
-            if live == 0:
-                break
-            if live < active.size // 2:
-                # compress keeps (G, rows) arrays row-major, where a[..., active] would
-                # turn them column-major and make numpy sum each column pairwise.
-                (work, tau, lo, hi, level, summed, side, at_pole, near_weight, near_pole, shifted, weight) = (
-                    np.compress(active, a, axis=-1)
-                    for a in (work, tau, lo, hi, level, summed, side, at_pole, near_weight, near_pole, shifted, weight)
-                )
-                active = np.ones(live, dtype=bool)
-        else:
-            raise ConvergenceFailure(
-                f"{int(np.count_nonzero(active))} secular root(s) missed tolerance after "
-                f"{_STEP_BUDGET} steps"
-            )
-    if not np.all(np.isfinite(offset)):
+            rest = level - tau - _pole_sum(terms)
+            curve = _pole_sum(np.divide(terms, dist, out=terms))
+        elif g == 1:  # every row's near pole is the only one
+            rest, curve = level - tau, 0.0
+        # f(tau) = rest - near_weight / (near_pole - tau), where rest is everything
+        # else (the head level, -tau and the far poles), of slope 1 + curve.
+        slope = 1.0 + curve
+        gap = near_pole - tau
+        value = rest - near_weight / gap
+        positive = value > 0
+        lo = np.where(positive, tau, lo)
+        hi = np.where(positive, hi, tau)
+        # Rational step: keep the near pole's term exactly and model the rest by its tangent.  The new
+        # distance to the near pole solves a quadratic, and so does the increment, a multiple of f; each
+        # form is written without cancellation, and worked out only when some row needs it.  The
+        # increment is taken unless the origin is the near pole and the step at least halves the
+        # offset: then the new distance is the new offset itself, accurate however close it lies.
+        span = side * gap
+        lean = side * rest
+        tilt = slope * span
+        below, above = lean - tilt, lean + tilt
+        root = np.sqrt(below * below + slope * four_weight)
+        increment = 2.0 * span * value / (above + root)
+        rising = above > 0
+        if np.count_nonzero(rising) < rising.size:
+            increment = np.where(rising, increment, side * (above - root) / (2.0 * slope))
+        step = tau + increment
+        abs_tau = np.abs(tau)
+        # The two forms agree to a few ulps: a step beyond half the offset (and 1e-9 of it) takes no jump.
+        if np.count_nonzero(np.abs(step) > (0.5 + 1e-9) * abs_tau) < step.size:
+            distance = np.where(below > 0, (0.5 * four_weight) / (root + below), (root - below) / (2.0 * slope))
+            step = np.where(distance <= reach * abs_tau, np.copysign(distance, tau), step)
+        # A root is done when f is within its rounding-error bound, and
+        # still takes its last step when that lies inside the bracket.
+        finished = np.abs(value) <= ulps * (np.sqrt(summed * curve) + np.abs(rest)) + 5.0 * _EPS * slope * abs_tau
+        inside = (lo < step) & (step < hi)
+        last, tau = tau, step
+        if np.count_nonzero(inside) < inside.size:
+            tau = np.where(inside, step, np.where(finished, last, 0.5 * (lo + hi)))
+        # tau is an end of its bracket, and so is the midpoint only when no
+        # float lies strictly inside: such a root ends where it stands.
+        finished |= tau == last
+        done = np.count_nonzero(finished)
+        if done == finished.size:
+            break
+        if done > closed:  # a finished root's bracket closes on it, which holds it there
+            lo, hi, closed = np.where(finished, tau, lo), np.where(finished, tau, hi), done
+        if finished.size - done < finished.size // 2:
+            # compress keeps (G, rows) arrays row-major, where a[..., active] would
+            # turn them column-major and make numpy sum each column pairwise.
+            offset[work[finished]] = tau[finished]
+            active, closed = ~finished, 0
+            state, work, tau, lo, hi = (np.compress(active, a, axis=-1) for a in (state, work, tau, lo, hi))
+            shifted, weight = state[:g], state[g : 2 * g]
+            level, near_pole, near_weight, four_weight, side, summed, reach = state[2 * g :]
+    else:
+        missed = finished.size - np.count_nonzero(finished)
+        raise ConvergenceFailure(f"{missed} secular root(s) missed tolerance after {_STEP_BUDGET} steps")
+    offset[work] = tau
+    if np.count_nonzero(np.isfinite(offset)) < rows:
         raise ConvergenceFailure("secular root search produced non-finite values")
-    return origin.reshape(count, points).T, offset.reshape(count, points).T
+    return origin, offset.reshape(count, points)
 
 
 def _sector_roots(sec: Sector, head: np.ndarray, count: int) -> tuple:
@@ -381,43 +393,55 @@ def _sector_roots(sec: Sector, head: np.ndarray, count: int) -> tuple:
     At a flat point, one whose border squared is below the normal range,
     the sector is diagonal and its roots are its stable-sorted diagonal:
     ``z/4 + poles``, then ``head``, so the body comes first on ties.  The
-    points ``flat`` masks keep that sort as ``order`` (None when no point is
+    points ``flat`` lists keep that sort as ``order`` (None when no point is
     flat), from which ``Levels`` takes their vectors.  Elsewhere root ``j``
     is ``z/4 + (origin + offset)``, solved in the frame ``mu = lam - z/4``
-    where the poles do not move; ``origin`` and ``offset`` cover only those
-    points, which ``live`` indexes (a boolean mask would scatter rows
-    several times slower).
+    where the poles do not move.  A flat point solves as a copy of the first
+    coupled one, which leaves the solve's steps alone; ``Levels`` overwrites
+    what that gives.  A border whose square overflows raises at once.
     """
 
     poles, counts, quarter, border = sec
-    roots = np.empty((border.size, count))
-    flat = border * border < _TINY
-    order = None
-    if flat.any():
-        diagonal = np.concatenate((quarter[flat][:, None] + poles, head[flat][:, None]), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b2 = border * border
+        if np.count_nonzero(np.isinf(b2)):
+            p = int(np.argmax(np.isinf(b2)))
+            raise ConvergenceFailure(f"border {border[p]:.6g} at z = {4.0 * quarter[p]:.6g} squares to inf")
+        flat, shifted, order = (b2 < _TINY).nonzero()[0], head - quarter, None
+        if flat.size:
+            diagonal = np.concatenate((quarter[flat][:, None] + poles, head[flat][:, None]), axis=1)
+            order = np.argsort(diagonal, axis=1, kind="stable")
+            if flat.size < b2.size:
+                first = int(np.argmax(b2 >= _TINY))
+                b2[flat], shifted[flat] = b2[first], shifted[first]
+        if flat.size < b2.size:
+            origin, offset = _leftmost_roots(poles, counts.astype(np.float64), int(counts.sum()), b2, shifted, count)
+        else:  # nothing to solve: a root one below the lowest pole keeps every vector finite
+            origin, offset = np.full((count, b2.size), poles[0]), np.full((count, b2.size), -1.0)
+        roots = (quarter + (origin + offset)).T
+    if order is not None:
         roots[flat] = np.sort(diagonal, axis=1, kind="stable")[:, :count]
-        order = np.argsort(diagonal, axis=1, kind="stable")
-    live = np.flatnonzero(~flat)
-    origin, offset = _leftmost_roots(
-        poles, counts.astype(np.float64), int(counts.sum()), border[live], head[live] - quarter[live], count
-    )
-    roots[live] = quarter[live][:, None] + (origin + offset)
-    return roots, origin, offset, live, flat, order
+    return roots, origin.T, offset.T, flat, order
 
 
-def _secular_vectors(sec: Sector, border, origin, offset) -> tuple[np.ndarray, np.ndarray]:
+def _secular_vectors(sec: Sector, origin, offset, largest=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-group and head amplitudes of each root's eigenvector, normalized over the ``k_g``-fold body.
 
-    The group amplitudes come group-major, ``(G,) + offset.shape``, so that
-    the norm sums over the groups as ``_pole_sum`` does.
+    ``offset`` is ``(points,)`` or ``(points, roots)``.  The group amplitudes
+    come group-major, ``(G,) + offset.shape``, so that the norm sums over the
+    groups as ``_pole_sum`` does.  ``largest`` is the group of the largest
+    amplitude, where known: 0 for the ground root, below every pole.
     """
 
-    poles = sec.poles.reshape((-1,) + (1,) * offset.ndim)
-    a = border / (offset - (poles - origin))
-    scale = np.maximum(1.0, np.max(np.abs(a), axis=0))  # a near pole can make a*a overflow
-    a /= scale
-    h = 1.0 / scale
-    norm = np.sqrt(_pole_sum(a * a * sec.counts.astype(np.float64).reshape(poles.shape)) + h * h)
+    shape = (-1,) + (1,) * offset.ndim
+    a = (sec.border if offset.ndim == 1 else sec.border[:, None]) / (offset - (sec.poles.reshape(shape) - origin))
+    big = np.abs(a[largest]) if largest is not None else np.max(np.abs(a), axis=0)
+    h = 1.0
+    if np.count_nonzero(big > 1.0):  # a near pole can make a*a overflow; dividing by 1 changes no bit
+        scale = np.maximum(1.0, big)
+        a /= scale
+        h = 1.0 / scale
+    norm = np.sqrt(_pole_sum(a * a * sec.counts.reshape(shape)) + h * h)
     return a / norm, h / norm
 
 
@@ -463,12 +487,13 @@ class Levels:
     def gap(self) -> np.ndarray:
         """``level(1) - level(0)``, taken before the common ``z/4`` shift, so it keeps its relative accuracy."""
 
-        sec, origin, offset, live, *_ = self._solve
-        gap = self.level(1) - self.roots[:, 0]  # kept at flat points
+        (sec, origin, offset, flat, order, _), level = self._solve, self.level(1)  # raises if level 1 is unsolved
         if self.counts[0] > 1:
-            gap[live] = (sec.poles[0] - origin[:, 0]) - offset[:, 0]
+            gap = (sec.poles[0] - origin[:, 0]) - offset[:, 0]
         else:
-            gap[live] = (origin[:, 1] - origin[:, 0]) + (offset[:, 1] - offset[:, 0])
+            gap = (origin[:, 1] - origin[:, 0]) + (offset[:, 1] - offset[:, 0])
+        if order is not None:
+            gap[flat] = level[flat] - self.roots[flat, 0]
         return gap
 
     def ground(self) -> tuple[np.ndarray, np.ndarray]:
@@ -480,15 +505,13 @@ class Levels:
         group, made uniform, or the head, as the roots and ``vectors`` have it.
         """
 
-        sec, origin, offset, live, flat, order, _ = self._solve
-        group, solved = _secular_vectors(sec, sec.border[live], origin[:, 0], offset[:, 0])
-        if order is None:
-            return group.T, solved
-        amplitudes = np.zeros((len(self.roots), len(self.counts)))
-        head = np.zeros(len(amplitudes))
-        amplitudes[flat, 0] = (order[:, 0] == 0) / math.sqrt(self.counts[0])
-        head[flat] = order[:, 0] == len(self.counts)
-        amplitudes[live], head[live] = group.T, solved
+        sec, origin, offset, flat, order, _ = self._solve
+        group, head = _secular_vectors(sec, origin[:, 0], offset[:, 0], largest=0)
+        amplitudes = group.T
+        if order is not None:
+            amplitudes[flat] = 0.0
+            amplitudes[flat, 0] = (order[:, 0] == 0) / math.sqrt(self.counts[0])
+            head[flat] = order[:, 0] == len(self.counts)
         return amplitudes, head
 
     def vectors(self) -> np.ndarray:
@@ -498,13 +521,13 @@ class Levels:
         head.  At a flat point the columns stably sort the diagonal, as the roots do.
         """
 
-        sec, origin, offset, live, flat, order, _ = self._solve
+        sec, origin, offset, flat, order, _ = self._solve
         size, solved = len(self.counts) + 1, self.roots.shape[1]
-        vectors = np.zeros((len(self.roots), size, solved))
+        vectors = np.empty((len(self.roots), size, solved))
+        amplitudes, vectors[:, -1] = _secular_vectors(sec, origin, offset)
+        vectors[:, :-1] = np.swapaxes(amplitudes, 0, 1) * np.sqrt(self.counts.astype(np.float64))[:, None]
         if order is not None:
             vectors[flat] = np.swapaxes(np.eye(size)[order[:, :solved]], 1, 2)
-        amplitudes, vectors[live, -1] = _secular_vectors(sec, sec.border[live][:, None], origin, offset)
-        vectors[live, :-1] = np.swapaxes(amplitudes, 0, 1) * np.sqrt(self.counts.astype(np.float64))[:, None]
         return vectors
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:

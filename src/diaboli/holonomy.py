@@ -177,50 +177,51 @@ class BerryResult:
 
 
 class _Points:
-    """Solved points as table rows, in order of solving: x, z, e0, e1, gap, head, then the ground amplitudes.
+    """Solved points as table columns, in order of solving: x, z, e0, e1 (if ``levels``), gap, the ground vector.
 
-    The rows are the loop samples, then each prefetched subtree, walked or
-    not.  The first ``size`` rows are filled.  The table keeps room to
-    grow, and the column views cover all of it, so they are rebuilt only
-    when it grows.  ``children[r]`` holds the rows of the midpoints of row
-    ``r``'s two halves, or -1 where that row's prefetch did not go deeper.
+    The ground vector is the head amplitude, then one per group, which ``weights`` sums over.  The
+    columns are the loop samples, then each prefetched subtree, walked or not; the first ``size``
+    are filled.  The table keeps room to grow, and the row views cover all of it, so they are
+    rebuilt only when it grows.  ``children[c]`` holds the columns of the midpoints of column ``c``'s
+    two halves, or -1 where that column's prefetch did not go deeper.
     """
 
-    def __init__(self, diag: ViolationDiagonal, variant: str) -> None:
+    def __init__(self, diag: ViolationDiagonal, variant: str, levels: bool) -> None:
         self.diag = diag
         self.variant = variant
-        self.weights = diag.histogram.counts.astype(np.float64)
+        self.levels = levels
+        self.weights = np.concatenate(([1.0], diag.histogram.counts))  # the head's, then each group's
         self.size = 0
-        self.table = np.empty((0, 6 + self.weights.size))
+        self.table = np.empty((5 + self.weights.size, 0))
         self.children = np.empty((0, 2), dtype=np.int64)
 
     def solve(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Solve a batch of points in one call, append them and return their rows."""
+        """Solve a batch of points in one call, append them and return their columns."""
 
         levels = lowest_levels(self.diag, self.variant, x, z, 2)
         first, self.size = self.size, self.size + x.size
-        if self.size > len(self.table):
-            grown = np.empty((2 * self.size, self.table.shape[1]))
-            grown[:first] = self.table[:first]
-            self.table = grown
-            self.x, self.z, self.e0, self.e1, self.gap, self.head = grown[:, :6].T
-            self.amplitudes = grown[:, 6:]
-        amplitudes, head = levels.ground()
-        self.table[first : self.size] = np.column_stack(
-            (x, z, levels.level(0), levels.level(1), levels.gap(), head, amplitudes)
-        )
-        self.children = np.concatenate((self.children, np.full((x.size, 2), -1)))
+        if self.size > self.table.shape[1]:
+            table, children = np.empty((self.table.shape[0], 2 * self.size)), np.full((2 * self.size, 2), -1)
+            table[:, :first], children[:first] = self.table[:, :first], self.children[:first]
+            self.table, self.children = table, children
+            self.x, self.z, self.e0, self.e1, self.gap = table[:5]
+            self.vectors = table[5:]
+        block = self.table[:, first : self.size]
+        amplitudes, block[5] = levels.ground()
+        block[0], block[1], block[4], block[6:] = x, z, levels.gap(), amplitudes.T
+        if self.levels:
+            block[2], block[3] = levels.level(0), levels.level(1)
         return np.arange(first, self.size)
 
     def fetch(self, a: np.ndarray, b: np.ndarray, levels: int, axis_tol: float) -> np.ndarray:
-        """Solve the subtrees of segments ``(a, b)`` in one call, and return the rows of their midpoints.
+        """Solve the subtrees of segments ``(a, b)`` in one call, and return the columns of their midpoints.
 
         A subtree point the walk may never reach can fail to converge; the
         segments' own midpoints are then solved alone, so a failure surfaces
         only where the level-by-level walk meets it.
         """
 
-        x, z = _subtree_midpoints(self.table[np.stack((a, b), axis=-1), :2].transpose(2, 0, 1), levels, axis_tol)
+        x, z = _subtree_midpoints(self.table[:2, np.stack((a, b), axis=-1)], levels, axis_tol)
         try:
             rows = self.solve(x.reshape(-1), z.reshape(-1)).reshape(x.shape)
         except ConvergenceFailure:
@@ -232,8 +233,8 @@ class _Points:
         self.children[rows] = np.where(kids < width, rows[:, :1, None] + kids, -1)
         return rows[:, 0]
 
-    def overlap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (self.amplitudes[a] * self.amplitudes[b]) @ self.weights + self.head[a] * self.head[b]
+    def overlap(self, a, b) -> np.ndarray:
+        return self.weights @ (self.vectors[:, a] * self.vectors[:, b])  # a, b: columns or slices of them
 
 
 def _subtree_midpoints(ends: np.ndarray, levels: int, axis_tol: float) -> np.ndarray:
@@ -297,26 +298,24 @@ def berry_phase(
         path = _DEFAULT_LOOP
     xs, zs = path.sample_coordinates()
     n = xs.size
-    pts = _Points(diag, variant)
+    pts = _Points(diag, variant, collect_log)
     pts.solve(xs, zs)
-    axis_tol = np.finfo(np.float64).eps * float(np.max(np.abs(xs)))
 
     # The segments still to look at, as rows of end points, depth, the prefetched
-    # midpoint row (or -1) and where they start along the walk, in units of
+    # midpoint column (or -1) and where they start along the walk, in units of
     # the shortest segment; and their overlaps.  A segment that does not
     # split never will, so it is kept aside as it is.
     unit = 1 << MAX_REFINE_DEPTH
-    segments = np.empty((5, n - 1), dtype=np.int64)
-    segments[0] = np.arange(n - 1)
-    segments[1] = segments[0] + 1
-    segments[2:4] = [[0], [-1]]
+    segments = np.zeros((5, n - 1), dtype=np.int64)
+    segments[0], segments[1], segments[3] = np.arange(n - 1), np.arange(1, n), -1
     segments[4] = segments[0] * unit
-    overlap = pts.overlap(segments[0], segments[1])
+    overlap = pts.overlap(slice(0, n - 1), slice(1, n))
     kept, overlaps = [], []
     while True:
-        ends = pts.gap[segments[:2]] <= GAP_FLOOR
-        split = ~(ends[0] | ends[1]) & (np.abs(overlap) < REFINE_TRIGGER) & (segments[2] < MAX_REFINE_DEPTH)
-        if not split.any():
+        degenerate = pts.gap[: pts.size] <= GAP_FLOOR
+        ends = degenerate[segments[0]] | degenerate[segments[1]]
+        split = ~ends & (np.abs(overlap) < REFINE_TRIGGER) & (segments[2] < MAX_REFINE_DEPTH)
+        if not np.count_nonzero(split):
             kept.append(segments)
             overlaps.append(overlap)
             break
@@ -325,11 +324,12 @@ def berry_phase(
         segments = segments.compress(split, axis=1)
         left, right, depth, row, _ = segments
         new = row < 0
-        if new.any():
+        if np.count_nonzero(new):
             # As many levels as the cap on points allows, and none below the
             # depth cap; at least the segments' own midpoints.
             fits = (_PREFETCH_POINTS // int(np.count_nonzero(new)) + 1).bit_length() - 1
             levels = max(1, min(_PREFETCH_DEPTH, MAX_REFINE_DEPTH - int(depth.max()), fits))
+            axis_tol = np.finfo(np.float64).eps * float(np.max(np.abs(xs)))
             row[new] = pts.fetch(left[new], right[new], levels, axis_tol)
         # The first halves of the split segments, then their second halves.
         halves = row.size
@@ -339,16 +339,17 @@ def berry_phase(
         segments[3] = pts.children[row].T.reshape(-1)
         segments[4, halves:] += unit >> segments[2, halves:]
         overlap = pts.overlap(segments[0], segments[1])
-    # The kept segments tile the loop; in walk order:
-    segments = np.concatenate(kept, axis=1)
-    order = np.argsort(segments[4], kind="stable")  # one sorted run, then a few more
-    left, right, depth = segments[:3].take(order, axis=1)
-    overlap = np.concatenate(overlaps)[order]
+    # The kept segments tile the loop; in walk order (the samples' own when none split):
+    left, right, depth = segments[:3]
+    if len(kept) > 1:
+        segments = np.concatenate(kept, axis=1)
+        order = np.argsort(segments[4], kind="stable")  # one sorted run, then a few more
+        left, right, depth = segments[:3].take(order, axis=1)
+        overlap = np.concatenate(overlaps)[order]
 
     # The walk meets point 0, then each segment's end point and the segment;
     # a segment leaving a degenerate point follows the one that reaches it.
-    degenerate = pts.gap[: pts.size] <= GAP_FLOOR
-    failed = np.flatnonzero(degenerate[right] | (np.abs(overlap) < OVERLAP_FLOOR))
+    failed = (degenerate[right] | (np.abs(overlap) < OVERLAP_FLOOR)).nonzero()[0]
     if degenerate[0] or failed.size:
         i = 0 if degenerate[0] else right[failed[0]]
         if degenerate[i]:
@@ -361,14 +362,14 @@ def berry_phase(
             f"still below {OVERLAP_FLOOR} at refinement depth {depth[j]}"
         )
 
-    # The transported vector at each step is gauge * (the solver's vector).
-    gauge = np.cumprod(np.where(overlap < 0.0, -1, 1))
-    closing = float(gauge[-1] * pts.overlap(np.array([n - 1]), np.array([0]))[0])
+    # The transported vector at each step is gauge * (the solver's vector); the gauge flips at each negative overlap.
+    closing = float(pts.overlap(slice(n - 1, n), slice(0, 1))[0]) * (-1) ** np.count_nonzero(overlap < 0.0)
     sign = 1 if closing > 0.0 else -1
     log = None
     if collect_log:
         # Logged overlaps are taken against the transported previous vector,
         # and the sign column counts the flips that transport makes.
+        gauge = np.cumprod(np.where(overlap < 0.0, -1, 1))
         logged = np.concatenate(([1], gauge[:-1])) * overlap
         flips = np.cumprod(np.where(logged < 0.0, -1, 1))
         rows = [(0, 1.0, 1)] + list(zip(right.tolist(), logged.tolist(), flips.tolist()))
@@ -379,7 +380,7 @@ def berry_phase(
     return BerryResult(
         phase=math.pi if sign < 0 else 0.0,
         holonomy_sign=sign,
-        min_transport_overlap=min(1.0, float(np.min(np.abs(overlap)))),
+        min_transport_overlap=min(1.0, float(np.abs(overlap).min())),
         min_gap_on_loop=float(min(pts.gap[0], pts.gap[right].min())),
         refined_points=right.size + 1 - n,
         points_solved=right.size + 1,

@@ -108,7 +108,12 @@ def prediction_error(diag: ViolationDiagonal, z: float, variant: str = "unscaled
     predicted and the symmetric window [-0.5, 0.5] otherwise.
     """
 
-    prediction = second_order(diag, z, variant)
+    return _compared(diag, z, variant, second_order(diag, z, variant))
+
+
+def _compared(diag: ViolationDiagonal, z: float, variant: str, prediction: GapPrediction) -> GapComparison:
+    """``prediction_error`` with ``second_order`` already taken."""
+
     if prediction.x_gap_predicted is not None:
         sweep_lo, sweep_hi = 0.0, max(0.2, 2.5 * prediction.x_gap_predicted)
     else:
@@ -129,7 +134,7 @@ def prediction_report(diag: ViolationDiagonal, z: float, variant: str = "unscale
     """JSON-ready report combining the coefficients and the numeric check."""
 
     prediction = second_order(diag, z, variant)
-    comparison = prediction_error(diag, z, variant)
+    comparison = _compared(diag, z, variant, prediction)
     return {
         "z": prediction.z,
         "variant": prediction.variant,

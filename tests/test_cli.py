@@ -294,6 +294,10 @@ def test_domain_errors_exit_two(capsys):
     assert main(["predict-gap", "wc:n=4,sol=0", "--z", "0"]) == 2
     assert main(["berry", "wc:n=3,sol=99"]) == 2
     capsys.readouterr()
+    # x = 1e200 squares past the float range: named at once, with no numpy warning.
+    spectrum = ["spectrum", "wc:n=3,sol=5", "--sweep", "x", "--fixed", "0.5", "--range", "0:1e200", "--samples", "3"]
+    assert main(spectrum) == 2
+    assert "squares to inf" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

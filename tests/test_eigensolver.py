@@ -141,9 +141,9 @@ def test_interlacing_and_trace():
 
 
 def test_exhausted_newton_budget_raises(monkeypatch):
-    # Both solves start at the middle of each root's bracket (G > 2 roots get
-    # no model start when more than one is asked for), so one evaluation
-    # cannot end them.
+    # The whole spectrum at G > 2 starts at the middle of each root's bracket,
+    # and the two lowest roots at G > 2 start at roots of models that lump or
+    # hold the far groups, so one evaluation cannot end them.
     ham = random_arrowhead(np.random.default_rng(5), 65)
     diag = ViolationDiagonal(np.array([0, 1, 2, 3, 1, 2, 3, 3]))  # G = 4 and k_0 = 1: two roots
     monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 1)
@@ -151,6 +151,16 @@ def test_exhausted_newton_budget_raises(monkeypatch):
         eigen_arrowhead(ham)
     with pytest.raises(ConvergenceFailure, match="missed tolerance"):
         lowest_levels(diag, "unscaled", np.array([0.3, -0.7]), np.array([-1.0, 0.5]), 2)
+    # A border whose square overflows raises before any evaluation, and names its point.
+    with pytest.raises(ConvergenceFailure, match=r"border 1e\+155 at z = 0.5 squares to inf"):
+        lowest_levels(worst_case_diagonal(3, 5), "unscaled", 1e155, 0.5)
+    # Over the default loop the two lowest roots at G = 4 end within four
+    # evaluations under every variant: root 0 starts from the lumped model, and
+    # root 1 from the one that holds groups 2.. at their sum mid-bracket.
+    monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 4)
+    xs, zs = LoopPath.default_rectangle().sample_coordinates()
+    for variant in VARIANTS:
+        assert lowest_levels(diag, variant, xs, zs, 2).roots.shape[1] == 2
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -511,18 +521,19 @@ def evolution_midpoints(steps=2000):
 
 @pytest.mark.parametrize("n", [3, 8, 16])
 def test_small_sectors_solve_in_a_step_and_a_check(n, monkeypatch):
-    # At G = 2 each root starts at the closed-form root of its sector, where f
-    # is already within its rounding-error bound: that one evaluation and the
+    # At G <= 2 each root starts at the closed-form root of its sector (a
+    # quadratic at G = 1 with no solution, the 3x3 at G = 2), where f is
+    # already within its rounding-error bound: that one evaluation and the
     # step it gives end the root, over the default loop and the evolution
-    # midpoints (the midpoint starts took 5-6).  At G = 1 (no solution) the
-    # split evaluation's rational step is exact, and the next evaluation ends it.
+    # midpoints, under every variant.
     xs, zs = LoopPath.default_rectangle().sample_coordinates()
     xm, zm = evolution_midpoints()
-    for diag, groups, budget in ((worst_case_diagonal(n, 5 % 2**n), 2, 1), (worst_case_diagonal(n), 1, 2)):
+    monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 1)
+    for diag, groups in ((worst_case_diagonal(n, 5 % 2**n), 2), (worst_case_diagonal(n), 1)):
         assert diag.histogram.values.size == groups
-        monkeypatch.setattr(eigensolver, "_STEP_BUDGET", budget)
-        lowest_levels(diag, "unscaled", xs, zs, 2)
-        lowest_levels(diag, "unscaled", xm, zm)
+        for variant in VARIANTS:
+            lowest_levels(diag, variant, xs, zs, 2)
+            lowest_levels(diag, variant, xm, zm)
 
 
 def test_levels_near_the_gap_minimum_match_mpmath(mp, monkeypatch):
@@ -589,7 +600,8 @@ def test_worst_cases_up_to_60_variables_solve_in_two_evaluations(variant, monkey
     # Next to the x_scaled crossing f cancels to rounding noise before a step
     # settles, and more so as n grows: a stop test on the step never ends
     # those roots, the rounding-error bound ends them at their model start.
-    # z_scaled roots, whose starts lose a few ulps, take one more evaluation.
+    # Every variant's roots, z_scaled's included, end at their first
+    # evaluation here; two is this test's bound.
     xs, zs = LoopPath.default_rectangle().sample_coordinates()
     grid = np.concatenate((np.linspace(-1.0, 1.0, 65), CROSSING_XS))
     xs, zs = np.concatenate((xs, grid)), np.concatenate((zs, np.full(grid.size, -1.0)))
