@@ -235,7 +235,7 @@ def evolve(
     if geometric <= -math.pi:
         geometric += 2.0 * math.pi
     # Spread the sector amplitudes back over the k_g entries of each group.
-    body = (psi[:-1] / root_k)[hist.inverse]
+    body = (psi[:-1] / root_k)[np.searchsorted(hist.values, diag.entries)]
     return EvolutionResult(
         total_time=schedule.total_time,
         speed_profile=schedule.speed_profile,

@@ -124,12 +124,16 @@ def _int_at_least(minimum: int):
 
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
-    """Standard output, or the file ``out`` opened for writing."""
+    """Standard output, or the file ``out`` opened for writing.
+
+    The file gets a 1 MiB buffer, so rows longer than the default buffer
+    do not go out one write call each.
+    """
 
     if out is None:
         yield sys.stdout
     else:
-        with open(out, "w") as stream:
+        with open(out, "w", buffering=1 << 20) as stream:
             yield stream
 
 

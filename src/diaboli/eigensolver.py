@@ -499,10 +499,11 @@ class Levels:
     def ground(self) -> tuple[np.ndarray, np.ndarray]:
         """The ground vector as ``(amplitudes, head)``, uniform on each violation-count group.
 
-        Body entry ``i`` carries ``amplitudes[p, g]`` with
-        ``g = diag.histogram.inverse[i]`` and the head carries ``head[p]``,
-        normalized with ``head >= 0``.  At a flat point it is the lowest body
-        group, made uniform, or the head, as the roots and ``vectors`` have it.
+        Body entry ``i`` carries ``amplitudes[p, g]``, where ``g`` is its
+        group, ``np.searchsorted(diag.histogram.values, diag.entries[i])``,
+        and the head carries ``head[p]``, normalized with ``head >= 0``.  At a
+        flat point it is the lowest body group, made uniform, or the head, as
+        the roots and ``vectors`` have it.
         """
 
         sec, origin, offset, flat, order, _ = self._solve

@@ -5,13 +5,19 @@ significant bit is ``k = 0``) holds the truth value of variable ``k + 1``,
 with 0 meaning false.  The violation diagonal lists, for every assignment
 in that order, how many clauses the assignment violates.  An instance is
 soluble exactly when some entry is zero.
+
+Every solver reads a diagonal only through its histogram of counts and its
+dimension.  A worst-case diagonal carries that histogram in closed form and
+builds its ``2**n`` entries only when they are read; a CNF diagonal is one
+integer product of two tables over the top and bottom halves of the bits.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -75,11 +81,13 @@ def _check_clause(clause: tuple[int, ...], n_vars: int) -> None:
 
 
 class Histogram(NamedTuple):
-    """Exact grouping of a diagonal by violation count."""
+    """Exact grouping of a diagonal by violation count.
+
+    Entry ``i`` is in group ``np.searchsorted(values, entries[i])``.
+    """
 
     values: np.ndarray  # distinct counts u_g, ascending
     counts: np.ndarray  # multiplicities k_g
-    inverse: np.ndarray  # group index of every entry, so values[inverse] == entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,27 +139,63 @@ class ViolationDiagonal:
 
     @cached_property
     def histogram(self) -> Histogram:
-        """Distinct counts, their multiplicities and the entry-to-group map.
+        """Distinct counts and their multiplicities.
 
         Counts are integers, so grouping by equality is exact; computed
-        once per diagonal and shared read-only.  A value span below the
-        entry count is grouped by ``bincount`` in O(size) memory, any
-        other by sorting; both give what ``np.unique`` gives.
+        once per diagonal and shared read-only.  When every count is below
+        the entry count they are tallied by ``bincount`` in O(size) memory,
+        otherwise sorted; both give what ``np.unique`` gives.
         """
 
         entries = self.entries
-        lo = int(entries.min())
-        if int(entries.max()) - lo < entries.size:
-            shifted = entries - lo
-            tally = np.bincount(shifted)
+        if int(entries.max()) < entries.size:
+            tally = np.bincount(entries)
             present = tally > 0
-            hist = Histogram(np.flatnonzero(present) + lo, tally[present], (np.cumsum(present) - 1)[shifted])
+            return _read_only(Histogram(np.flatnonzero(present), tally[present]))
+        values, counts = np.unique(entries, return_counts=True)
+        return _read_only(Histogram(values, counts))
+
+
+def _read_only(hist: Histogram) -> Histogram:
+    for arr in hist:
+        arr.setflags(write=False)
+    return hist
+
+
+class _WorstCase(ViolationDiagonal):
+    """``worst_case_diagonal``: answers from ``n`` and the planted index, entries built on first read."""
+
+    def __init__(self, n: int, solution_index: int | None) -> None:
+        object.__setattr__(self, "n_vars", n)
+        object.__setattr__(self, "_solution", solution_index)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        return _worst_case_entries(self.n_vars, self._solution)
+
+    @property
+    def dimension(self) -> int:
+        return 1 << self.n_vars
+
+    @property
+    def soluble(self) -> bool:
+        return self._solution is not None
+
+    @cached_property
+    def histogram(self) -> Histogram:
+        if self._solution is None:
+            values, counts = [1], [self.dimension]
         else:
-            values, inverse, counts = np.unique(entries, return_inverse=True, return_counts=True)
-            hist = Histogram(values, counts, inverse.reshape(-1))
-        for arr in hist:
-            arr.setflags(write=False)
-        return hist
+            values, counts = [0, 1], [1, self.dimension - 1]
+        return _read_only(Histogram(np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64)))
+
+
+def _worst_case_entries(n: int, solution_index: int | None) -> np.ndarray:
+    entries = np.ones(1 << n, dtype=np.int64)
+    if solution_index is not None:
+        entries[solution_index] = 0
+    entries.setflags(write=False)
+    return entries
 
 
 def parse_dimacs(text: str) -> CnfInstance:
@@ -216,24 +260,53 @@ def render_dimacs(inst: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CLAUSE_CHUNK = 2**15 - 1  # clauses per int16 product, so that no sum overflows
+
+# Row ``lit + MAX_VARS``: the bit of the literal's variable, and that bit again if the literal is negated.
+_LITERAL_BITS = np.array(
+    [(1 << abs(lit) - 1, (1 << abs(lit) - 1) * (lit < 0)) if lit else (0, 0) for lit in range(-MAX_VARS, MAX_VARS + 1)],
+    dtype=np.int64,
+)
+
+
+@cache
+def _half_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top-half indices (bits in place), then the bottom-half ones; and the bit mask of each one's half."""
+
+    low = n // 2
+    top = np.arange(1 << (n - low), dtype=np.int64) << low
+    index = np.concatenate((top, np.arange(1 << low, dtype=np.int64)))
+    half = np.repeat(np.array([(1 << n) - (1 << low), (1 << low) - 1], dtype=np.int64), [top.size, 1 << low])
+    for arr in (index, half):
+        arr.setflags(write=False)  # shared by every call at this n
+    return index, half
+
+
 def violation_diagonal(inst: CnfInstance) -> ViolationDiagonal:
     """Count violated clauses for every assignment.
 
-    A clause is violated exactly when all three of its literals are false,
-    so each clause contributes to ``2**(n-3)`` assignments.  Viewed as a
-    ``(2,)*n`` C-order array, variable ``v`` is axis ``n - v``, and those
-    assignments form one sub-block: index 0 on the axis of a positive
-    literal, 1 on that of a negative one, every other axis free.
+    A clause is violated exactly when all three of its literals are false.
+    Split an index into its top bits ``hi`` and its bottom ``n // 2`` bits
+    ``lo``: clause ``c`` is violated at ``(hi, lo)`` exactly when its
+    literals on top variables are all false at ``hi`` (``H[c, hi]``) and
+    those on bottom variables at ``lo`` (``L[c, lo]``), so the counts are
+    ``sum_c H[c, hi] * L[c, lo]``.  ``np.einsum`` takes that sum exactly
+    over int16 tables, a chunk of clauses at a time so that no sum
+    overflows.  A float ``@`` would be exact too, but its BLAS call starts
+    worker threads that cost more than the whole product.
     """
 
     n = inst.n_vars
-    counts = np.zeros((2,) * n, dtype=np.int64)
-    for clause in inst.clauses:
-        block: list[int | slice] = [slice(None)] * n
-        for lit in clause:
-            block[n - abs(lit)] = 0 if lit > 0 else 1
-        counts[tuple(block)] += 1
-    return ViolationDiagonal(entries=counts.reshape(-1), n_vars=n)
+    literals = np.fromiter(chain.from_iterable(inst.clauses), np.int64, 3 * inst.n_clauses)
+    # A clause is violated where its negated variables are set and its other variables clear.
+    fixed, negated = _LITERAL_BITS[literals + MAX_VARS].reshape(-1, 3, 2).sum(axis=1).T
+    index, half = _half_indices(n)
+    all_false = ((index & fixed[:, None]) == (negated[:, None] & half)).astype(np.int16)
+    top = 1 << (n - n // 2)
+    chunks = [all_false[start : start + _CLAUSE_CHUNK] for start in range(0, inst.n_clauses, _CLAUSE_CHUNK)]
+    parts = [np.einsum("ch,cl->hl", chunk[:, :top], chunk[:, top:]) for chunk in chunks]
+    counts = parts[0] if len(parts) == 1 else np.sum(parts, axis=0, dtype=np.int64)
+    return ViolationDiagonal(entries=counts.reshape(-1), n_vars=n)  # cast to int64 there
 
 
 def worst_case_diagonal(n: int, solution_index: int | None = None) -> ViolationDiagonal:
@@ -241,7 +314,10 @@ def worst_case_diagonal(n: int, solution_index: int | None = None) -> ViolationD
 
     This is the hardest solubility profile: at most one satisfying
     assignment, all other assignments violating exactly one clause.
-    ``solution_index=None`` gives the insoluble all-ones counterpart.
+    ``solution_index=None`` gives the insoluble all-ones counterpart.  The
+    histogram is set in closed form, ``[1]`` with count ``2**n`` or
+    ``[0, 1]`` with counts ``[1, 2**n - 1]``; the ``2**n`` entries are
+    built, read-only, only when first read.
     """
 
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
@@ -249,16 +325,15 @@ def worst_case_diagonal(n: int, solution_index: int | None = None) -> ViolationD
     if n > MAX_VARS:
         raise IndexOutOfRange(f"at most {MAX_VARS} variables supported, got {n}")
     n = int(n)
-    entries = np.ones(1 << n, dtype=np.int64)
     if solution_index is not None:
         if (
             not isinstance(solution_index, numbers.Integral)
             or isinstance(solution_index, bool)
-            or not 0 <= solution_index < entries.size
+            or not 0 <= solution_index < 1 << n
         ):
-            raise IndexOutOfRange(f"solution index {solution_index!r} is not an integer in [0, {entries.size})")
-        entries[int(solution_index)] = 0
-    return ViolationDiagonal(entries=entries, n_vars=n)
+            raise IndexOutOfRange(f"solution index {solution_index!r} is not an integer in [0, {1 << n})")
+        solution_index = int(solution_index)
+    return _WorstCase(n, solution_index)
 
 
 def random_instance(n_vars: int, n_clauses: int, rng: np.random.Generator | int) -> CnfInstance:

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DiaboliError, InternalContradiction, OracleFailure
 from .hamiltonian import SubspaceMask  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .hamiltonian import restrict
@@ -66,7 +64,7 @@ class SearchTrace:
 
 
 def brute_force_oracle(diag: ViolationDiagonal) -> bool:
-    return bool(np.any(diag.entries == 0))
+    return diag.soluble
 
 
 def solve(diag: ViolationDiagonal, variant: str = "unscaled", oracle: Oracle | None = None) -> SearchTrace:

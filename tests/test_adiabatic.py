@@ -117,7 +117,8 @@ def dense_walk(diag, variant, schedule):
     durations = adiabatic._step_durations(lowest_levels(diag, variant, x_mid, z_mid, 2).gap(), schedule)
     edges = lowest_levels(diag, variant, *loop.points_at(s_edges), 2)
     amplitudes, head = edges.ground()
-    grounds = np.concatenate((amplitudes[:, diag.histogram.inverse], head[:, None]), axis=1)
+    groups = np.searchsorted(diag.histogram.values, diag.entries)
+    grounds = np.concatenate((amplitudes[:, groups], head[:, None]), axis=1)
     psi = grounds[0].astype(np.complex128)
     fidelities = [abs(np.vdot(grounds[0], psi)) ** 2]
     for j in range(schedule.steps):
@@ -176,9 +177,9 @@ def test_evolution_runs_past_the_dense_size_cap():
     assert result.ground_fidelity >= 0.99
     state = result.final_state
     assert state.shape == (2**16 + 1,)
-    inverse = diag.histogram.inverse
+    groups = np.searchsorted(diag.histogram.values, diag.entries)
     for group in range(diag.histogram.values.size):  # group-uniform
-        members = state[:-1][inverse == group]
+        members = state[:-1][groups == group]
         assert np.all(members == members[0])
 
 
@@ -208,9 +209,9 @@ def sector_loop(diag, variant, schedule):
     root_k = np.sqrt(diag.histogram.counts)
     amplitudes, head = edges.ground()
     grounds = np.concatenate((amplitudes * root_k, head[:, None]), axis=1)
-    groups = diag.histogram.values.size
-    basis = np.zeros((diag.dimension + 1, groups + 1))
-    basis[np.arange(diag.dimension), diag.histogram.inverse] = 1.0 / root_k[diag.histogram.inverse]
+    groups = np.searchsorted(diag.histogram.values, diag.entries)
+    basis = np.zeros((diag.dimension + 1, diag.histogram.values.size + 1))
+    basis[np.arange(diag.dimension), groups] = 1.0 / root_k[groups]
     basis[-1, -1] = 1.0
     mats = [basis.T @ build(diag, ParameterPoint(x, z), variant).to_dense() @ basis for x, z in zip(x_mid, z_mid)]
     w, v = np.linalg.eigh(np.array(mats))
@@ -219,7 +220,7 @@ def sector_loop(diag, variant, schedule):
         states.append(u @ states[-1])
     psi = states[-1]
     fidelities = np.abs(np.sum(grounds * states, axis=1)) ** 2
-    final = np.append((psi[:-1] / root_k)[diag.histogram.inverse], psi[-1])
+    final = np.append((psi[:-1] / root_k)[groups], psi[-1])
     e0 = edges.level(0)
     dynamical = -float(np.sum(0.5 * (e0[:-1] + e0[1:]) * durations))
     return final, fidelities, dynamical, float(np.angle(np.vdot(states[0], psi)))

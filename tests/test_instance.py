@@ -1,5 +1,8 @@
 """Parsing, violation counting, and the brute-force ground truth."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
@@ -9,15 +12,22 @@ from diaboli import (
     CnfInstance,
     DuplicateVariableInClause,
     IndexOutOfRange,
+    LoopPath,
     MalformedHeader,
     VariableOutOfRange,
     ViolationDiagonal,
+    berry_phase,
+    brute_force_oracle,
+    lowest_levels,
     parse_dimacs,
+    prediction_report,
     random_instance,
     render_dimacs,
     violation_diagonal,
     worst_case_diagonal,
 )
+from diaboli import instance
+from diaboli.cli import main
 from diaboli.instance import MAX_VARS
 
 
@@ -138,6 +148,38 @@ def violation_counts_by_passes(inst: CnfInstance) -> np.ndarray:
     return counts
 
 
+def violation_counts_by_blocks(inst: CnfInstance) -> np.ndarray:
+    """Oracle: one strided sub-block add per clause on the ``(2,)*n`` view, variable ``v`` on axis ``n - v``."""
+
+    n = inst.n_vars
+    counts = np.zeros((2,) * n, dtype=np.int64)
+    for clause in inst.clauses:
+        block: list[int | slice] = [slice(None)] * n
+        for lit in clause:
+            block[n - abs(lit)] = 0 if lit > 0 else 1
+        counts[tuple(block)] += 1
+    return counts.reshape(-1)
+
+
+def test_violation_diagonal_matches_sub_block_adds():
+    rng = np.random.default_rng(4242)
+    for n in range(3, 17):
+        for m in sorted({1, 2, n, 4 * n, 10 * n}):
+            drawn = random_instance(n, m, rng).clauses
+            edge = ((1, -n, 2), (-1, n, -2), (n, 1, n - 1))
+            for clauses in (drawn, drawn + drawn, drawn[:1] * 3 + edge):
+                inst = CnfInstance(n_vars=n, clauses=clauses)
+                diag = violation_diagonal(inst)
+                assert diag.entries.dtype == np.int64 and diag.n_vars == n
+                assert np.array_equal(diag.entries, violation_counts_by_blocks(inst))
+    # 40,000 clauses, one count beyond the int16 range
+    inst = CnfInstance(n_vars=3, clauses=((1, 2, 3),) * 36_000 + random_instance(3, 4_000, rng).clauses)
+    diag = violation_diagonal(inst)
+    want = violation_counts_by_blocks(inst)
+    assert want.max() > np.iinfo(np.int16).max and want.sum() == 40_000
+    assert diag.entries.dtype == np.int64 and np.array_equal(diag.entries, want)
+
+
 def test_violation_diagonal_matches_clause_passes_up_to_16_vars():
     rng = np.random.default_rng(2609)
     for n in range(3, 17):
@@ -199,27 +241,69 @@ def test_diagonal_entries_are_read_only():
 
 def test_histogram_groups_counts_exactly():
     diag = ViolationDiagonal(np.array([2, 0, 2, 5, 0, 2]))
-    values, counts, inverse = diag.histogram
+    values, counts = diag.histogram
     assert values.tolist() == [0, 2, 5] and counts.tolist() == [2, 3, 1]
-    assert values[inverse].tolist() == diag.entries.tolist()
+    assert values[np.searchsorted(values, diag.entries)].tolist() == diag.entries.tolist()
     assert diag.histogram is diag.histogram
     with pytest.raises(ValueError):
         counts[0] = 7
-    # bincount groups a value span below the size, np.unique any other
+    # bincount groups counts below the size, np.unique any others; worst cases are in closed form
     full = violation_diagonal(random_instance(10, 40, 5))
     diagonals = [
         diag,
         ViolationDiagonal(np.array([0, 10**12, 0])),
         ViolationDiagonal(np.array([0, 5])),
         ViolationDiagonal(np.array([7])),
+        ViolationDiagonal(np.array([3, 4, 3, 3, 4])),
         ViolationDiagonal(full.entries[300:700]),
-        *(worst_case_diagonal(16, k) for k in (None, 0, 5, (1 << 16) - 1)),
+        *(worst_case_diagonal(n, k) for n in range(1, 17) for k in (None, 0, 1 << (n - 1), (1 << n) - 1)),
     ]
     for diag in diagonals:
-        values, inverse, counts = np.unique(diag.entries, return_inverse=True, return_counts=True)
-        for got, want in zip(diag.histogram, (values, counts, inverse.reshape(-1))):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        values, counts = diag.histogram
+        want = np.unique(diag.entries, return_counts=True)
+        for got, expected in zip((values, counts), want):
+            assert got.dtype == expected.dtype == np.int64 and np.array_equal(got, expected)
             assert not got.flags.writeable
+
+
+def test_worst_case_histogram_needs_no_entries(monkeypatch):
+    built = []
+    entries_of = instance._worst_case_entries
+
+    def spy(n, solution_index):
+        built.append((n, solution_index))
+        return entries_of(n, solution_index)
+
+    monkeypatch.setattr(instance, "_worst_case_entries", spy)
+    planted, insoluble = worst_case_diagonal(16, 12345), worst_case_diagonal(16)
+    small = worst_case_diagonal(5, 3)
+    assert berry_phase(planted).holonomy_sign == -1 and berry_phase(insoluble).holonomy_sign == 1
+    assert planted.dimension == 2**16 and planted.n_vars == 16
+    assert planted.soluble and not insoluble.soluble
+    assert brute_force_oracle(planted) and not brute_force_oracle(insoluble)
+    xs, zs = LoopPath.default_rectangle().sample_coordinates()
+    lowest_levels(planted, "x_scaled", xs, zs, 2)
+    lowest_levels(small, "unscaled", xs, zs)
+    prediction_report(worst_case_diagonal(7, 0), -1.0)
+    for argv in (
+        ["berry", "wc:n=16,sol=12345"],
+        ["berry", "wc:n=12,sol=none", "--variant", "x_scaled"],
+        ["predict-gap", "wc:n=16,sol=12345", "--z", "-1"],
+        ["spectrum", "wc:n=10,sol=77", "--sweep", "x", "--fixed", "-1", "--range", "0:0.2", "--samples", "21"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert built == []
+    # Entries, once read, are built once, read-only and the all-ones diagonal with its one zero.
+    for diag, zero in ((planted, 12345), (insoluble, None), (small, 3)):
+        entries = diag.entries
+        assert diag.entries is entries and entries.dtype == np.int64 and not entries.flags.writeable
+        want = np.ones(diag.dimension, dtype=np.int64)
+        if zero is not None:
+            want[zero] = 0
+        assert np.array_equal(entries, want)
+        assert diag.solutions == ([] if zero is None else [zero])
+    assert built == [(16, 12345), (16, None), (5, 3)]
 
 
 def test_diagonal_infers_n_vars_only_for_power_of_two():
