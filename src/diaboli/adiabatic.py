@@ -191,9 +191,10 @@ def evolve(
     durations = _step_durations(np.concatenate([levels.level(1) - levels.level(0) for levels in solves]), schedule)
 
     # Ground levels and states at the step edges, in sector coordinates.  The
-    # log's e1 takes its own solve, so logging cannot move e0 by a last bit.
+    # log's e1 comes from the same solve: root 0 starts and steps alike
+    # whether root 1 is asked for, so logging moves no bit of e0.
     x_edge, z_edge = loop.points_at(s_edges)
-    edges = lowest_levels(diag, variant, x_edge, z_edge, 1)
+    edges = lowest_levels(diag, variant, x_edge, z_edge, 2 if collect_log else 1)
     e0 = edges.level(0)
     root_k = np.sqrt(hist.counts.astype(np.float64))
     amplitudes, head = edges.ground()
@@ -225,7 +226,7 @@ def evolve(
 
     log = None
     if collect_log:
-        e1 = lowest_levels(diag, variant, x_edge, z_edge, 2).level(1)
+        e1 = edges.level(1)
         columns = np.concatenate(([0.0], elapsed)), x_edge, z_edge, e0, e1, fidelities, np.append(1.0, norms)
         log = tuple(map(EvolutionStep, *(column.tolist() for column in columns)))
 

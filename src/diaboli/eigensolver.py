@@ -20,17 +20,19 @@ keep the head and the lowest groups exact and lump or hold the others.
 A solve asking for more roots at G > 2 starts each at the middle of its
 interlacing interval, where one evaluation picks the half that holds it.
 The origin is the bracket pole nearer the start; the leftmost root keeps
-origin 0 when it lies nearer 0 than a positive first pole.  Rational
-steps then keep the nearest pole's term exactly, model the rest of the
-secular function by its tangent, and fall back to halving the bracket
-when they leave it.  A root ends when the secular function is within its
-own rounding-error bound, as in ``dlaed4``, taking its last step if that
-stays in the bracket, or when its bracket holds no float strictly inside;
-a root still open when the step budget runs out raises
-``ConvergenceFailure``.  Differences between poles are exact, so the
-distance from a root ``lam = sigma + tau`` to each body
-value keeps its relative accuracy however close the root lies to a pole,
-and the root's eigenvector follows in closed form:
+origin 0, with no near pole, when it lies nearer 0 than a positive first
+pole.  Each step keeps the near pole's term exactly and fits the rest of
+the secular function by one rational term that matches its value, slope
+and curvature (LAWN 89's fixed weight, with the other pole fitted), so it
+triples the digits; a step that leaves the bracket becomes a halving.  A
+root ends when the secular function is within its own rounding-error
+bound, as in ``dlaed4``, taking its last step if that stays in the
+bracket, or when its bracket holds no float strictly inside; a root still
+open when the step budget runs out raises ``ConvergenceFailure``.
+Differences between poles are exact, so the distance from a root
+``lam = sigma + tau`` to each body value keeps its relative accuracy
+however close the root lies to a pole, and the root's eigenvector follows
+in closed form:
 
     v[i] = b / (tau - (d[i] - sigma)),   v[head] = 1,   then normalize.
 
@@ -157,23 +159,16 @@ def _root_pair(total: np.ndarray, product: np.ndarray) -> tuple[np.ndarray, np.n
     return np.minimum(big, small), np.maximum(big, small)
 
 
-def _three_level_roots(far, h: np.ndarray, w0: np.ndarray, w1: np.ndarray, upper: bool) -> tuple:
-    """``low, high[, low1, high1]``: roots of ``[[0, 0, sqrt w0], [0, far, sqrt w1], [sqrt w0, sqrt w1, h]]``.
-
-    The top one comes in trigonometric form, the lower two from the quadratic it leaves, whose sum meets
-    ``top - far`` only times ``w0 / top`` (a far pole costs no digits), the upper two relative to ``far``.
-    """
+def _trig_roots(far, h: np.ndarray, w0: np.ndarray, w1: np.ndarray, turns) -> np.ndarray:
+    """Root ``turns`` (0 top, 1 bottom, 2 middle) of ``[[0, 0, sqrt w0], [0, far, sqrt w1], [sqrt w0, sqrt w1, h]]``."""
 
     third = (far + h) / 3.0
     d1 = far - third
     square = (h * (h - far) + (far * far + 3.0 * (w0 + w1))) / 9.0  # (trace of (M - third)**2) / 6
     scale = np.sqrt(square)
     cosine = 0.5 * (third * (w1 - d1 * (h - third)) - d1 * w0) / (square * scale)  # det(M - third) / (2 scale**3)
-    top = third + 2.0 * scale * np.cos(np.arccos(np.minimum(np.maximum(cosine, -1.0), 1.0)) / 3.0)
-    low, high = _root_pair((far * h - w1 - w0 * ((top - far) / top)) / top, -w0 * (far / top))
-    if not upper:
-        return low, high
-    return (low, high, *_root_pair((h - far) - low, far * w1 / (low - far)))  # det(M - far) = far * w1
+    angle = np.arccos(np.minimum(np.maximum(cosine, -1.0), 1.0)) + 2.0 * np.pi * turns
+    return third + 2.0 * scale * np.cos(angle / 3.0)  # good to a few ulps of the matrix's scale
 
 
 def _model_start(
@@ -182,9 +177,10 @@ def _model_start(
     """Starts ``(right, tau)`` for the ``count`` leftmost roots from closed-form models, or None.
 
     At ``G <= 2`` the model is the sector, so a root usually ends at its first evaluation.  At ``G > 2``
-    root 0's model lumps groups 1.. at their count-weighted mean pole, and root 1's keeps groups 0 and 1
-    and holds the others' sum at its value mid-bracket; more roots get no starts.  ``right`` says
-    whether a root's origin is the right end of its bracket, ``tau`` is its start from there.
+    root 0's model lumps groups 1.. into one of their total weight that gives their sum one pole spacing
+    below ``poles[0]``, typically within 1% of the root; root 1's keeps groups 0 and 1 and holds the
+    others' sum at its value mid-bracket; more roots get no starts, and neither start depends on the
+    other.  ``right`` says whether a root's origin is the right end of its bracket, ``tau`` is its start.
     """
 
     g = poles.size
@@ -194,16 +190,24 @@ def _model_start(
     if g == 1:
         low, high = _root_pair(h, -w0)
     else:
-        far = float(k[1:] @ (poles[1:] - poles[0])) / others  # the lumped level
-        if g == 2 or count == 1:
-            low, high, *upper = _three_level_roots(far, h, w0, others * b2, g == 2 and count > 1)
-        else:  # both models as one batch
-            width = poles[1] - poles[0]
-            held = float(k[2:] @ (1.0 / ((poles[2:] - poles[0]) - 0.5 * width)))
-            fars, helds, weights = np.array([[far, 0.0, others], [width, held, k[1]]]).T[:, :, None]
-            low, high = _three_level_roots(fars, h - helds * b2, w0, weights * b2, False)
-            low, high, upper = low[0], high[1], [high[1] - width]
-    right, tau = np.ones((count, head.size), dtype=bool), np.empty((count, head.size))
+        width = far = poles[1] - poles[0]
+        w1 = others * b2
+        if g == 2:  # the top root in trigonometric form, the lower two from the quadratic it leaves, whose
+            # sum meets top - far only times w0 / top (a far pole costs no digits); the upper two from far
+            top = _trig_roots(far, h, w0, w1, 0)
+            low, high = _root_pair((far * h - w1 - w0 * ((top - far) / top)) / top, -w0 * (far / top))
+            if count > 1:
+                upper = _root_pair((h - far) - low, far * w1 / (low - far))  # det(M - far) = far * w1
+        else:  # one group of the far groups' total weight, placed to give their sum one width below
+            far = others / float(np.add.reduce(k[1:] / ((poles[1:] - poles[0]) + width))) - width
+            if count == 1:  # a start that steps refine needs no more than the trigonometric form
+                low = _trig_roots(far, h, w0, w1, 1)
+            else:  # and root 1's model, holding groups 2.. at their sum mid-bracket, as one batch
+                held = float(np.add.reduce(k[2:] / ((poles[2:] - poles[0]) - 0.5 * width)))
+                models = np.array([[far, 0.0, others, 1.0], [width, held, k[1], 2.0]]).T[:, :, None]
+                low, high = _trig_roots(models[0], h - models[1] * b2, w0, models[2] * b2, models[3])
+                upper = [high - width]
+    right, tau = np.full((count, head.size), True), np.empty((count, head.size))
     tau[0] = low
     if poles[0] > 0.0:
         # Root 0 keeps origin 0 below poles[0] / 2, as the midpoint split does; there it is the head
@@ -211,12 +215,12 @@ def _model_start(
         right[0] = ~(low < -0.5 * poles[0])
         zero = head - high if g == 1 else poles[0] + low  # at G = 1 the roots sum to h
         if g > 1:
-            zero = head - (w0 / (poles[0] - zero) + (others * b2) / ((poles[0] + far) - zero))
+            zero = head - (w0 / (poles[0] - zero) + w1 / ((poles[0] + far) - zero))
         tau[0] = np.where(right[0], low, zero)
     if count > 1 and g == 1:
         tau[1] = high  # both ends of root 1's bracket are poles[0]
     elif count > 1:  # root 1, and root 2, relative to poles[1] when nearer it
-        right[1] = high > 0.5 * (far if g == 2 else width)
+        right[1] = high > 0.5 * width
         tau[1] = np.where(right[1], upper[0], high)
         if count > 2:
             tau[2] = upper[1]
@@ -254,59 +258,58 @@ def _leftmost_roots(
     rows, by_root = points * count, (count, points)
     j = np.arange(count)
     near_left, near_right = np.maximum(j - 1, 0), np.minimum(j, g - 1)
-    left_pole, right_pole = poles[near_left], poles[near_right]
+    left_pole, right_pole = poles[near_left][:, None], poles[near_right][:, None]
     origin_left = left_pole.copy()
     if poles[0] > 0.0:
         origin_left[0] = 0.0  # the leftmost root keeps origin 0 when it lies nearer 0 than poles[0]
     # The rows' constants, stacked so that one compress drops finished rows.  Rows are root-major,
     # so that neighbouring rows are neighbouring points and take the same branches.
-    state = np.empty((2 * g + 7, rows))
-    shifted, weight = state[:g], state[g : 2 * g]
-    level, near_pole, near_weight, four_weight, side, summed, reach = state[2 * g :]
+    state = np.empty((2 * g + 4, rows))
+    shifted, weight, (level, near_pole, near_weight, summed) = state[:g], state[g : 2 * g], state[2 * g :]
     np.multiply(k[:, None, None], b2, out=weight.reshape((g,) + by_root))
     np.multiply(size, b2, out=summed.reshape(by_root))
     total = np.sqrt(summed[:points]) + 1.0
-    lo = np.repeat(left_pole[:, None], points, axis=1)
-    hi = np.repeat(right_pole[:, None], points, axis=1)
-    lo[0] = np.minimum(poles[0], head) - total
+    low, high = np.repeat(left_pole, points, axis=1), np.repeat(right_pole, points, axis=1)
+    low[0] = np.minimum(poles[0], head) - total
     if count > g:
-        hi[g] = np.maximum(poles[-1], head) + total
+        high[g] = np.maximum(poles[-1], head) + total
 
     # A row starts at its model root when that lies strictly inside its
     # bracket, and its origin is the bracket pole nearer the start.
     start = _model_start(poles, k, size, b2, head, count)
     if start is not None:
         right, tau = start
-        origin = np.where(right, right_pole[:, None], origin_left[:, None])
-        placed = (lo - origin < tau) & (tau < hi - origin)
+        origin = np.where(right, right_pole, origin_left)
+        lo, hi = low - origin, high - origin
+        placed = (lo < tau) & (tau < hi)
     if start is None or np.count_nonzero(placed) < rows:
         # One evaluation at the split point picks the half of the bracket
         # that holds the root, and with it the origin: the pole at that end.
-        split = 0.5 * (lo + hi)
+        split = 0.5 * (low + high)
         if poles[0] > 0.0:
             split[0] = 0.5 * poles[0]
         dist = poles[:, None] - split.reshape(-1)
         terms = weight / dist
         split_right = ((head - split).reshape(-1) - _pole_sum(terms) > 0).reshape(by_root)  # f decreases
         right = split_right if start is None else np.where(placed, right, split_right)
-        origin = np.where(right, right_pole[:, None], origin_left[:, None])
+        origin = np.where(right, right_pole, origin_left)
         tau = split - origin if start is None else np.where(placed, tau, split - origin)
-    lo, hi, tau = (lo - origin).reshape(-1), (hi - origin).reshape(-1), tau.reshape(-1)
-    # The shifted poles are exact pole differences.  The near pole's own
-    # term is kept apart, so the rest of the sum never cancels against it.
+        lo, hi = low - origin, high - origin
+    lo, hi, tau = lo.reshape(-1), hi.reshape(-1), tau.reshape(-1)
+    # The shifted poles are exact pole differences.  The near pole's own term is kept
+    # apart, so the rest of the sum never cancels against it; a leftmost root kept at
+    # origin 0 has its near pole at inf, of weight 0, and every term in its sums.
     np.subtract(poles[:, None, None], origin, out=shifted.reshape((g,) + by_root))
     np.subtract(head, origin, out=level.reshape(by_root))
     np.multiply(np.where(right, k[near_right][:, None], k[near_left][:, None]), b2, out=near_weight.reshape(by_root))
-    np.multiply(4.0, near_weight, out=four_weight)
-    # A row's origin is its near pole but for a leftmost root kept at origin 0,
-    # and only a row at its near pole may step in the pole's own frame.
-    near_pole[:], reach[:] = 0.0, 0.5
+    near_pole[:], free = 0.0, 0
     if poles[0] > 0.0:
-        near_pole[:points] = poles[0] - origin[0]
-        reach[:points] = np.where(right[0], 0.5, -np.inf)
-    np.copysign(1.0, near_pole - tau, out=side)  # +1 when the near pole lies right of the root
-    picked = np.where(right, near_right[:, None], near_left[:, None]).reshape(-1), np.arange(rows)
-    shifted[picked] = np.inf
+        free = points - np.count_nonzero(right[0])
+        if free:
+            near_pole[:points][~right[0]], near_weight[:points][~right[0]] = np.inf, 0.0
+    # Distinct poles meet a row's origin only at its near pole, whose difference is an exact 0.
+    near = shifted == 0.0
+    np.copyto(shifted, np.inf, where=near)
     # f's rounding error is within eps * ((G + 3) * (sum |far terms| + |rest|) + 5 * slope * |tau|):
     # dlaed4's kind of bound, (G + 2) * sum |terms| + |level| + |tau| * (1 + 3 * slope), read with
     # |near term| <= |rest| + |f| and |level| <= |rest| + |tau| + sum |far terms|.  By Cauchy-Schwarz,
@@ -314,47 +317,53 @@ def _leftmost_roots(
     ulps = _EPS * (g + 3)
     if start is None:
         # Without model starts, the split evaluation serves the first step, its near term taken out.
-        terms[picked] = 0.0
+        np.copyto(terms, 0.0, where=near)
         rest = (head - split).reshape(-1) - _pole_sum(terms)
-        curve = _pole_sum(terms / dist)
+        curve = _pole_sum(np.divide(terms, dist, out=terms))
+        bend = _pole_sum(np.divide(terms, dist, out=terms))
 
     offset, work, closed = np.empty(rows), np.arange(rows), 0  # closed: how many finished rows' brackets have closed
     for steps in range(_STEP_BUDGET):
-        if (steps or start is not None) and g > 1:
+        if (steps or start is not None) and (g > 1 or free):
             dist = shifted - tau
             terms = weight / dist
             rest = level - tau - _pole_sum(terms)
             curve = _pole_sum(np.divide(terms, dist, out=terms))
+            bend = _pole_sum(np.divide(terms, dist, out=terms))
         elif g == 1:  # every row's near pole is the only one
-            rest, curve = level - tau, 0.0
-        # f(tau) = rest - near_weight / (near_pole - tau), where rest is everything
-        # else (the head level, -tau and the far poles), of slope 1 + curve.
+            rest, curve, bend = level - tau, 0.0, 0.0
+        # f(tau) = rest - near_weight / (near_pole - tau), where rest is everything else (the head
+        # level, -tau and the far poles), of slope -(1 + curve) and curvature -2 * bend.
         slope = 1.0 + curve
         gap = near_pole - tau
         value = rest - near_weight / gap
         positive = value > 0
         lo = np.where(positive, tau, lo)
         hi = np.where(positive, hi, tau)
-        # Rational step: keep the near pole's term exactly and model the rest by its tangent.  The new
-        # distance to the near pole solves a quadratic, and so does the increment, a multiple of f; each
-        # form is written without cancellation, and worked out only when some row needs it.  The
-        # increment is taken unless the origin is the near pole and the step at least halves the
-        # offset: then the new distance is the new offset itself, accurate however close it lies.
-        span = side * gap
-        lean = side * rest
-        tilt = slope * span
-        below, above = lean - tilt, lean + tilt
-        root = np.sqrt(below * below + slope * four_weight)
-        increment = 2.0 * span * value / (above + root)
-        rising = above > 0
+        # Step: keep the near pole's term and model the rest by rest - slope * d / (1 - bent * d) of
+        # the increment d, which matches its value, slope and curvature.  The increment solves a
+        # quadratic, a multiple of f written without cancellation (Halley's step where 1 / gap = 0).
+        # Where it takes a root at least halfway to its near pole, the new distance to the pole, the
+        # new offset itself, solves the same model, accurate however close it lies.
+        bent = bend / slope
+        quad = slope + bent * rest
+        lean = rest / gap + slope + bent * value
+        root = np.sqrt(lean * lean - 4.0 * (quad / gap) * value)
+        increment = 2.0 * value / (lean + root)
+        rising = lean > 0
         if np.count_nonzero(rising) < rising.size:
-            increment = np.where(rising, increment, side * (above - root) / (2.0 * slope))
+            increment = np.where(rising, increment, (lean - root) * gap / (2.0 * quad))
         step = tau + increment
         abs_tau = np.abs(tau)
         # The two forms agree to a few ulps: a step beyond half the offset (and 1e-9 of it) takes no jump.
-        if np.count_nonzero(np.abs(step) > (0.5 + 1e-9) * abs_tau) < step.size:
-            distance = np.where(below > 0, (0.5 * four_weight) / (root + below), (root - below) / (2.0 * slope))
-            step = np.where(distance <= reach * abs_tau, np.copysign(distance, tau), step)
+        if not np.min(increment / tau) > 1e-9 - 0.5:
+            side = np.sign(gap)  # +1 when the near pole lies right of the root
+            below = side * (rest - bent * near_weight - quad * gap)
+            weighted = near_weight * (1.0 - bent * gap)
+            root = np.sqrt(below * below + 4.0 * quad * weighted)
+            distance = np.where(below > 0, (2.0 * weighted) / (root + below), (root - below) / (2.0 * quad))
+            jump = (distance <= 0.5 * abs_tau) & (near_weight > 0)
+            step = np.where(jump, np.copysign(distance, tau), step)
         # A root is done when f is within its rounding-error bound, and
         # still takes its last step when that lies inside the bracket.
         finished = np.abs(value) <= ulps * (np.sqrt(summed * curve) + np.abs(rest)) + 5.0 * _EPS * slope * abs_tau
@@ -376,8 +385,7 @@ def _leftmost_roots(
             offset[work[finished]] = tau[finished]
             active, closed = ~finished, 0
             state, work, tau, lo, hi = (np.compress(active, a, axis=-1) for a in (state, work, tau, lo, hi))
-            shifted, weight = state[:g], state[g : 2 * g]
-            level, near_pole, near_weight, four_weight, side, summed, reach = state[2 * g :]
+            shifted, weight, (level, near_pole, near_weight, summed) = state[:g], state[g : 2 * g], state[2 * g :]
     else:
         missed = finished.size - np.count_nonzero(finished)
         raise ConvergenceFailure(f"{missed} secular root(s) missed tolerance after {_STEP_BUDGET} steps")
@@ -404,7 +412,7 @@ def _sector_roots(sec: Sector, head: np.ndarray, count: int) -> tuple:
     poles, counts, quarter, border = sec
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b2 = border * border
-        if np.count_nonzero(np.isinf(b2)):
+        if b2.max() == np.inf:
             p = int(np.argmax(np.isinf(b2)))
             raise ConvergenceFailure(f"border {border[p]:.6g} at z = {4.0 * quarter[p]:.6g} squares to inf")
         flat, shifted, order = (b2 < _TINY).nonzero()[0], head - quarter, None
@@ -437,11 +445,11 @@ def _secular_vectors(sec: Sector, origin, offset, largest=None) -> tuple[np.ndar
     a = (sec.border if offset.ndim == 1 else sec.border[:, None]) / (offset - (sec.poles.reshape(shape) - origin))
     big = np.abs(a[largest]) if largest is not None else np.max(np.abs(a), axis=0)
     h = 1.0
-    if np.count_nonzero(big > 1.0):  # a near pole can make a*a overflow; dividing by 1 changes no bit
+    if np.count_nonzero(big > 1e100):  # a near pole can make a*a overflow; below 1e100, a*a * k_g cannot
         scale = np.maximum(1.0, big)
         a /= scale
         h = 1.0 / scale
-    norm = np.sqrt(_pole_sum(a * a * sec.counts.reshape(shape)) + h * h)
+    norm = np.sqrt(_pole_sum(a * a * sec.counts.reshape(shape).astype(np.float64)) + h * h)
     return a / norm, h / norm
 
 

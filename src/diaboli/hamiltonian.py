@@ -137,9 +137,10 @@ class Sector(NamedTuple):
 def sector(diag: ViolationDiagonal, variant: str, x, z) -> Sector:
     """``build(diag, (x, z), variant)`` on the histogram of ``diag``, at finite points broadcast and flattened."""
 
-    x, z = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(z, dtype=np.float64))
-    x, z = x.reshape(-1), z.reshape(-1)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+    x, z = np.asarray(x, dtype=np.float64), np.asarray(z, dtype=np.float64)
+    if x.ndim != 1 or x.shape != z.shape:  # flat arrays of one size, as transport passes them, are used as they are
+        x, z = (a.reshape(-1) for a in np.broadcast_arrays(x, z))
+    if not (np.isfinite(x).all() and np.isfinite(z).all()):
         raise ValueError("parameter points must be finite")
     factor, divisor = variant_scales(variant, diag.dimension)
     hist = diag.histogram

@@ -114,7 +114,7 @@ class ViolationDiagonal:
             raise IndexOutOfRange("diagonal must be a non-empty 1-d sequence")
         if arr.size > 2**MAX_VARS:
             raise IndexOutOfRange(f"diagonal longer than {2**MAX_VARS} entries")
-        if np.any(arr < 0):
+        if arr.min() < 0:
             raise IndexOutOfRange("violation counts cannot be negative")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -262,24 +262,25 @@ def render_dimacs(inst: CnfInstance) -> str:
 
 _CLAUSE_CHUNK = 2**15 - 1  # clauses per int16 product, so that no sum overflows
 
-# Row ``lit + MAX_VARS``: the bit of the literal's variable, and that bit again if the literal is negated.
-_LITERAL_BITS = np.array(
-    [(1 << abs(lit) - 1, (1 << abs(lit) - 1) * (lit < 0)) if lit else (0, 0) for lit in range(-MAX_VARS, MAX_VARS + 1)],
-    dtype=np.int64,
-)
-
 
 @cache
-def _half_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The top-half indices (bits in place), then the bottom-half ones; and the bit mask of each one's half."""
+def _false_literals(n: int) -> np.ndarray:
+    """Row ``lit + n``: 1 where literal ``lit`` is false, over the top-half indices (bits in place), then the bottom.
+
+    In the half that does not hold its variable, a literal's row is 1, so a
+    clause's product over its literals is 1 exactly where all are false.
+    """
 
     low = n // 2
-    top = np.arange(1 << (n - low), dtype=np.int64) << low
-    index = np.concatenate((top, np.arange(1 << low, dtype=np.int64)))
-    half = np.repeat(np.array([(1 << n) - (1 << low), (1 << low) - 1], dtype=np.int64), [top.size, 1 << low])
-    for arr in (index, half):
-        arr.setflags(write=False)  # shared by every call at this n
-    return index, half
+    index = np.concatenate((np.arange(1 << (n - low), dtype=np.int64) << low, np.arange(1 << low, dtype=np.int64)))
+    top = np.arange(index.size) < 1 << (n - low)
+    rows = np.ones((2 * n + 1, index.size), dtype=np.int16)
+    for lit in chain(range(-n, 0), range(1, n + 1)):
+        bit = 1 << abs(lit) - 1
+        ours = top if bit >> low else ~top  # the half that holds the literal's variable
+        rows[lit + n, ours] = (index[ours] & bit == 0) == (lit > 0)
+    rows.setflags(write=False)  # shared by every call at this n
+    return rows
 
 
 def violation_diagonal(inst: CnfInstance) -> ViolationDiagonal:
@@ -290,18 +291,17 @@ def violation_diagonal(inst: CnfInstance) -> ViolationDiagonal:
     ``lo``: clause ``c`` is violated at ``(hi, lo)`` exactly when its
     literals on top variables are all false at ``hi`` (``H[c, hi]``) and
     those on bottom variables at ``lo`` (``L[c, lo]``), so the counts are
-    ``sum_c H[c, hi] * L[c, lo]``.  ``np.einsum`` takes that sum exactly
-    over int16 tables, a chunk of clauses at a time so that no sum
-    overflows.  A float ``@`` would be exact too, but its BLAS call starts
+    ``sum_c H[c, hi] * L[c, lo]``.  Both tables are the products of the
+    clause's literal rows in a table kept per ``n``.  ``np.einsum`` takes the
+    sum exactly over int16 tables, a chunk of clauses at a time so that no
+    sum overflows.  A float ``@`` would be exact too, but its BLAS call starts
     worker threads that cost more than the whole product.
     """
 
     n = inst.n_vars
     literals = np.fromiter(chain.from_iterable(inst.clauses), np.int64, 3 * inst.n_clauses)
-    # A clause is violated where its negated variables are set and its other variables clear.
-    fixed, negated = _LITERAL_BITS[literals + MAX_VARS].reshape(-1, 3, 2).sum(axis=1).T
-    index, half = _half_indices(n)
-    all_false = ((index & fixed[:, None]) == (negated[:, None] & half)).astype(np.int16)
+    false = _false_literals(n)[literals + n]
+    all_false = np.multiply.reduce(false.reshape(inst.n_clauses, 3, -1), axis=1, dtype=np.int16)
     top = 1 << (n - n // 2)
     chunks = [all_false[start : start + _CLAUSE_CHUNK] for start in range(0, inst.n_clauses, _CLAUSE_CHUNK)]
     parts = [np.einsum("ch,cl->hl", chunk[:, :top], chunk[:, top:]) for chunk in chunks]

@@ -271,13 +271,26 @@ def test_chunked_evolution_matches_one_chunk(monkeypatch, profile):
         assert circular_distance(chunked.total_phase, whole.total_phase) < 1e-12
 
 
-def test_log_collection_leaves_the_traversal_bit_identical():
+def test_log_collection_leaves_the_traversal_bit_identical(monkeypatch):
+    # The log's e1 comes from the edges' one solve, which asks for two roots
+    # instead of one: root 0 starts and steps alike either way, at any G.
+    solves = []
+
+    def counted(*args):
+        solves.append(args[4] if len(args) > 4 else None)
+        return lowest_levels(*args)
+
+    monkeypatch.setattr(adiabatic, "lowest_levels", counted)
     for profile in ("uniform", "gap_adaptive"):
         for diag in sector_diagonals():
             for variant in VARIANTS:
                 schedule = Schedule(100.0, profile, steps=301)
+                solves.clear()
                 bare = evolve(diag, variant, RECT, schedule)
+                bare_solves = solves.copy()
+                solves.clear()
                 logged = evolve(diag, variant, RECT, schedule, collect_log=True)
+                assert bare_solves[-1] == 1 and solves == bare_solves[:-1] + [2]  # the edges, solved once
                 assert np.array_equal(bare.final_state, logged.final_state)
                 assert (bare.ground_fidelity, bare.max_norm_drift) == (logged.ground_fidelity, logged.max_norm_drift)
                 assert (bare.dynamical_phase, bare.total_phase, bare.geometric_phase_estimate) == (

@@ -154,13 +154,57 @@ def test_exhausted_newton_budget_raises(monkeypatch):
     # A border whose square overflows raises before any evaluation, and names its point.
     with pytest.raises(ConvergenceFailure, match=r"border 1e\+155 at z = 0.5 squares to inf"):
         lowest_levels(worst_case_diagonal(3, 5), "unscaled", 1e155, 0.5)
-    # Over the default loop the two lowest roots at G = 4 end within four
+    # Over the default loop the two lowest roots at G = 4 end within three
     # evaluations under every variant: root 0 starts from the lumped model, and
-    # root 1 from the one that holds groups 2.. at their sum mid-bracket.
-    monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 4)
+    # root 1 from the one that holds groups 2.. at their sum mid-bracket, and
+    # each step fits the far poles to the curvature, so it triples the digits.
+    monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 3)
     xs, zs = LoopPath.default_rectangle().sample_coordinates()
     for variant in VARIANTS:
         assert lowest_levels(diag, variant, xs, zs, 2).roots.shape[1] == 2
+
+
+def cnf_diagonals_by_groups(seed=2121):
+    """Seeded random CNF diagonals with G = 3..12 distinct counts, one with k_0 = 1 and one with k_0 > 1 for each."""
+
+    rng = np.random.default_rng(seed)
+    found = {}
+    while len(found) < 20:
+        n = int(rng.integers(4, 11))
+        diag = violation_diagonal(random_instance(n, int(rng.integers(n, 6 * n)), rng))
+        groups, k0 = diag.histogram.values.size, int(diag.histogram.counts[0])
+        if 3 <= groups <= 12:
+            found.setdefault((groups, k0 == 1), diag)
+    return [found[key] for key in sorted(found)]
+
+
+def test_roots_above_two_groups_end_within_three_evaluations(monkeypatch):
+    # The one-root (count 1, or count 2 with k_0 > 1) and two-root (count 2
+    # with k_0 = 1) solves that transport makes, over the default loop, at
+    # G = 3..12 and under every variant: a model start good to about 1e-2 and
+    # two steps that each triple the digits, then the evaluation that ends it.
+    xs, zs = LoopPath.default_rectangle().sample_coordinates()
+    diags = cnf_diagonals_by_groups() + [ViolationDiagonal(np.array([1, 2, 3, 4, 2, 2, 3, 4]))]
+    monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 3)
+    for diag, variant, count in itertools.product(diags, VARIANTS, (1, 2)):
+        lowest_levels(diag, variant, xs, zs, count)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_lowest_levels_above_two_groups_match_eigvalsh_of_the_sector(variant):
+    # Every start path: count 1 and 2 (model starts) and the whole spectrum (split starts).
+    rng = np.random.default_rng(3131)
+    for diag in cnf_diagonals_by_groups():
+        xs = rng.uniform(-1.5, 1.5, size=8) * 10.0 ** rng.integers(-6, 1, size=8)
+        zs = rng.uniform(-1.5, 1.5, size=8)
+        solves = [lowest_levels(diag, variant, xs, zs, count) for count in (1, 2, None)]
+        for p, (x, z) in enumerate(zip(xs.tolist(), zs.tolist())):
+            mat = projected_sector(diag, variant, x, z)
+            want = np.linalg.eigvalsh(mat)
+            scale = max(1.0, float(np.max(np.abs(mat))))
+            for levels in solves:
+                solved = levels.roots.shape[1]
+                np.testing.assert_allclose(levels.roots[p], want[:solved], rtol=0, atol=1e-13 * scale)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -440,6 +484,47 @@ def test_levels_match_mpmath_at_50_digits(mp):
                     assert close(got, q + mu, max(abs(q + mu), abs(q)))
                 checked += 1
     assert checked == 16 * 3 * 3 * 3
+
+
+def mp_bisected_root(mp, poles, k, b, head, j):
+    """Root j of head - lam - sum(b^2 k / (poles - lam)) by bisection of its interlacing interval."""
+
+    w = [b * b * kk for kk in k]
+    total = mp.sqrt(sum(k)) * abs(b) + 1
+    lo = min(poles[0], head) - total if j == 0 else poles[j - 1]
+    hi = max(poles[-1], head) + total if j == len(poles) else poles[j]
+    for _ in range(600):
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
+        if head - mid - sum(wi / (d - mid) for wi, d in zip(w, poles)) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_extreme_couplings_converge_and_match_mpmath_at_80_digits(mp):
+    """|x| = 1e15..1e79 on an insoluble G = 4 diagonal: the leftmost root lies about |x| sqrt(8)
+    below poles[0] = 1, at origin 0, and must still end; every level within 1e-13 of the level scale."""
+
+    diag = ViolationDiagonal(np.array([1, 2, 3, 4, 2, 2, 3, 4]))
+    xs = 10.0 ** np.arange(15, 80)
+    for variant, count in itertools.product(VARIANTS, (1, 2, None)):
+        lowest_levels(diag, variant, xs, 0.5, count)
+        lowest_levels(diag, variant, -xs, -0.5, count)
+    poles, k = diag.histogram.values.tolist(), diag.histogram.counts.tolist()
+    picked = np.random.default_rng(1515).choice(xs.size, 8, replace=False)
+    with mp.workdps(80):
+        for count in (1, 2, None):
+            roots = lowest_levels(diag, "unscaled", xs[picked], 0.5, count).roots
+            for p, x in enumerate(xs[picked].tolist()):
+                q = mp.mpf(0.5) / 4
+                levels = [q + u for u in poles]
+                want = [mp_bisected_root(mp, levels, k, mp.mpf(x), -q, j) for j in range(roots.shape[1])]
+                scale = max(abs(v) for v in want)
+                for got, level in zip(roots[p].tolist(), want):
+                    assert abs(got - level) <= 1e-13 * scale, (count, x)
 
 
 def test_ground_vector_next_to_a_pole_stays_normalized(mp):
