@@ -15,10 +15,12 @@ uniform combination of the repeated states couples to the head.
 Each root is solved as an offset from an origin, as LAPACK's ``dlaed4``
 does (R.-C. Li, LAPACK Working Note 89, 1993).  It starts at a root of a
 closed-form model: with one or two groups the sector itself, whose roots
-come to a few ulps; with more, for the two leftmost roots, models that
-keep the head and the lowest groups exact and lump or hold the others.
-A solve asking for more roots at G > 2 starts each at the middle of its
-interlacing interval, where one evaluation picks the half that holds it.
+come to a few ulps; with more, for the leftmost root a model that keeps
+the head and the lowest group exact and lumps the others into one, for
+the top root its mirror image, and for the root between groups j - 1 and
+j one that keeps those two exact and holds the others at their value
+mid-bracket.  A start that rounds outside its bracket takes the middle
+of its bracket, keeping the origin its model chose.
 The origin is the bracket pole nearer the start; the leftmost root keeps
 origin 0, with no near pole, when it lies nearer 0 than a positive first
 pole.  Each step keeps the near pole's term exactly and fits the rest of
@@ -57,6 +59,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,19 +176,18 @@ def _trig_roots(far, h: np.ndarray, w0: np.ndarray, w1: np.ndarray, turns) -> np
 
 def _model_start(
     poles: np.ndarray, k: np.ndarray, size: int, b2: np.ndarray, head: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Starts ``(right, tau)`` for the ``count`` leftmost roots from closed-form models, or None.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Starts ``(right, tau)`` for the ``count`` leftmost roots, each from a closed-form model.
 
     At ``G <= 2`` the model is the sector, so a root usually ends at its first evaluation.  At ``G > 2``
     root 0's model lumps groups 1.. into one of their total weight that gives their sum one pole spacing
-    below ``poles[0]``, typically within 1% of the root; root 1's keeps groups 0 and 1 and holds the
-    others' sum at its value mid-bracket; more roots get no starts, and neither start depends on the
-    other.  ``right`` says whether a root's origin is the right end of its bracket, ``tau`` is its start.
+    below ``poles[0]``, typically within 1% of the root, and the top root's mirrors it above ``poles[-1]``;
+    root ``j``'s, between poles ``j - 1`` and ``j``, keeps those two groups and holds the others' sum at
+    its value mid-bracket.  No start depends on another.  ``right`` says whether a root's origin is the
+    right end of its bracket, the pole nearer the start; ``tau`` is the start.
     """
 
     g = poles.size
-    if g > 2 and count > 2:
-        return None
     h, w0, others = head - poles[0], k[0] * b2, size - k[0]
     if g == 1:
         low, high = _root_pair(h, -w0)
@@ -202,16 +204,29 @@ def _model_start(
             far = others / float(np.add.reduce(k[1:] / ((poles[1:] - poles[0]) + width))) - width
             if count == 1:  # a start that steps refine needs no more than the trigonometric form
                 low = _trig_roots(far, h, w0, w1, 1)
-            else:  # and root 1's model, holding groups 2.. at their sum mid-bracket, as one batch
-                held = float(np.add.reduce(k[2:] / ((poles[2:] - poles[0]) - 0.5 * width)))
-                models = np.array([[far, 0.0, others, 1.0], [width, held, k[1], 2.0]]).T[:, :, None]
-                low, high = _trig_roots(models[0], h - models[1] * b2, w0, models[2] * b2, models[3])
-                upper = [high - width]
+            else:  # and root j's models, holding the groups other than j - 1 and j at their sum mid-bracket
+                j = np.arange(1, min(count, g))[:, None]
+                width = poles[j] - poles[j - 1]
+                held = np.arange(g - 2) + 2 * (np.arange(g - 2) >= j - 1)  # the groups root j's model holds
+                held = np.add.reduce(k[held] / ((poles[held] - poles[j - 1]) - 0.5 * width), axis=1, keepdims=True)
+                # Root r's model is row r: far pole, held sum, far weight and turns, from pole max(r - 1, 0).
+                models = np.empty((4, count, 1))
+                models[:, 0, 0] = far, 0.0, others, 1.0
+                models[:, 1 : j.size + 1] = width, held, k[j], np.full_like(width, 2.0)
+                if count > g:  # the top root's: groups 0..G-2 lumped to give their sum one width above poles[-1]
+                    span, lumped = poles[-1] - poles[-2], size - k[-1]
+                    below = lumped / float(np.add.reduce(k[:-1] / ((poles[-1] - poles[:-1]) + span))) - span
+                    models[:, g, 0] = -below, 0.0, lumped, 0.0
+                near = np.maximum(np.arange(count) - 1, 0)[:, None]
+                h = (head - poles[near]) - models[1] * b2
+                roots = _trig_roots(models[0], h, k[near] * b2, models[2] * b2, models[3])
+                low, high = roots[0], roots[1 : j.size + 1]
+                upper = [high - width, roots[-1]]
     right, tau = np.full((count, head.size), True), np.empty((count, head.size))
     tau[0] = low
     if poles[0] > 0.0:
-        # Root 0 keeps origin 0 below poles[0] / 2, as the midpoint split does; there it is the head
-        # level less the poles' small terms, as poles[0] + low would cancel.
+        # Root 0 keeps origin 0 below poles[0] / 2; there it is the head level less the poles' small
+        # terms, as poles[0] + low would cancel.
         right[0] = ~(low < -0.5 * poles[0])
         zero = head - high if g == 1 else poles[0] + low  # at G = 1 the roots sum to h
         if g > 1:
@@ -219,11 +234,12 @@ def _model_start(
         tau[0] = np.where(right[0], low, zero)
     if count > 1 and g == 1:
         tau[1] = high  # both ends of root 1's bracket are poles[0]
-    elif count > 1:  # root 1, and root 2, relative to poles[1] when nearer it
-        right[1] = high > 0.5 * width
-        tau[1] = np.where(right[1], upper[0], high)
-        if count > 2:
-            tau[2] = upper[1]
+    elif count > 1:  # the roots between two poles, relative to the right one when nearer it
+        between = slice(1, min(count, g))
+        right[between] = high > 0.5 * width
+        tau[between] = np.where(right[between], upper[0], high)
+        if count > g:
+            tau[g] = upper[1]
     return right, tau
 
 
@@ -245,13 +261,14 @@ def _leftmost_roots(
     ``poles - origin - offset`` keeps its relative accuracy however close
     the root sits to a pole.
 
-    Each root starts at its ``_model_start`` root if it gets one strictly
-    inside its bracket, else at the middle of its bracket, where the sign of
-    f picks the origin.  A root ends when ``|f|`` is within f's rounding-error
-    bound, where the sign of f means nothing (next to an avoided crossing f
-    cancels to noise well before steps settle), and then takes its last step
-    if that lies inside its bracket; or where it stands, when its bracket
-    holds no float strictly inside.  Callers turn numpy's warnings off.
+    Each root starts at its ``_model_start`` root, from the origin that
+    start lies nearer, or at the middle of its bracket when that start is
+    not strictly inside it; nothing is evaluated before the steps.  A root
+    ends when ``|f|`` is within f's rounding-error bound, where the sign of
+    f means nothing (next to an avoided crossing f cancels to noise well
+    before steps settle), and then takes its last step if that lies inside
+    its bracket; or where it stands, when its bracket holds no float
+    strictly inside.  Callers turn numpy's warnings off.
     """
 
     points, g = b2.size, poles.size
@@ -274,27 +291,15 @@ def _leftmost_roots(
     if count > g:
         high[g] = np.maximum(poles[-1], head) + total
 
-    # A row starts at its model root when that lies strictly inside its
-    # bracket, and its origin is the bracket pole nearer the start.
-    start = _model_start(poles, k, size, b2, head, count)
-    if start is not None:
-        right, tau = start
-        origin = np.where(right, right_pole, origin_left)
-        lo, hi = low - origin, high - origin
-        placed = (lo < tau) & (tau < hi)
-    if start is None or np.count_nonzero(placed) < rows:
-        # One evaluation at the split point picks the half of the bracket
-        # that holds the root, and with it the origin: the pole at that end.
-        split = 0.5 * (low + high)
-        if poles[0] > 0.0:
-            split[0] = 0.5 * poles[0]
-        dist = poles[:, None] - split.reshape(-1)
-        terms = weight / dist
-        split_right = ((head - split).reshape(-1) - _pole_sum(terms) > 0).reshape(by_root)  # f decreases
-        right = split_right if start is None else np.where(placed, right, split_right)
-        origin = np.where(right, right_pole, origin_left)
-        tau = split - origin if start is None else np.where(placed, tau, split - origin)
-        lo, hi = low - origin, high - origin
+    # A row starts at its model root, and its origin is the bracket pole nearer that start; a
+    # start not strictly inside its bracket (one rounded onto a pole at a tiny coupling, or a model
+    # that overflows) takes the bracket's middle.
+    right, tau = _model_start(poles, k, size, b2, head, count)
+    origin = np.where(right, right_pole, origin_left)
+    lo, hi = low - origin, high - origin
+    placed = (lo < tau) & (tau < hi)
+    if np.count_nonzero(placed) < rows:
+        tau = np.where(placed, tau, 0.5 * (lo + hi))
     lo, hi, tau = lo.reshape(-1), hi.reshape(-1), tau.reshape(-1)
     # The shifted poles are exact pole differences.  The near pole's own term is kept
     # apart, so the rest of the sum never cancels against it; a leftmost root kept at
@@ -315,22 +320,15 @@ def _leftmost_roots(
     # |near term| <= |rest| + |f| and |level| <= |rest| + |tau| + sum |far terms|.  By Cauchy-Schwarz,
     # sum |far terms| <= sqrt(size * b2 * curve).
     ulps = _EPS * (g + 3)
-    if start is None:
-        # Without model starts, the split evaluation serves the first step, its near term taken out.
-        np.copyto(terms, 0.0, where=near)
-        rest = (head - split).reshape(-1) - _pole_sum(terms)
-        curve = _pole_sum(np.divide(terms, dist, out=terms))
-        bend = _pole_sum(np.divide(terms, dist, out=terms))
-
     offset, work, closed = np.empty(rows), np.arange(rows), 0  # closed: how many finished rows' brackets have closed
-    for steps in range(_STEP_BUDGET):
-        if (steps or start is not None) and (g > 1 or free):
+    for _ in range(_STEP_BUDGET):
+        if g > 1 or free:
             dist = shifted - tau
             terms = weight / dist
             rest = level - tau - _pole_sum(terms)
             curve = _pole_sum(np.divide(terms, dist, out=terms))
             bend = _pole_sum(np.divide(terms, dist, out=terms))
-        elif g == 1:  # every row's near pole is the only one
+        else:  # G = 1: every row's near pole is the only one
             rest, curve, bend = level - tau, 0.0, 0.0
         # f(tau) = rest - near_weight / (near_pole - tau), where rest is everything else (the head
         # level, -tau and the far poles), of slope -(1 + curve) and curvature -2 * bend.
@@ -604,8 +602,8 @@ def min_gap_on_segment(
 
     if sweep not in ("x", "z"):
         raise ValueError(f"sweep must be 'x' or 'z', got {sweep!r}")
-    if samples < 4:
-        raise ValueError(f"need at least 4 samples per scan, got {samples}")
+    if not isinstance(samples, numbers.Integral) or samples < 4:
+        raise ValueError(f"need an integer of at least 4 samples per scan, got {samples!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad sweep range [{lo}, {hi}]")
 

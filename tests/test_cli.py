@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diaboli
 from diaboli import (
     VARIANTS,
     ParameterPoint,
@@ -31,6 +34,14 @@ p cnf 3 1
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m diaboli`` in a fresh process, on the sources this test imported, installed or not."""
+
+    paths = [str(Path(diaboli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-m", "diaboli", *argv], capture_output=True, text=True, env=env)
 
 
 def test_spectrum_csv_matches_the_solver(tmp_path, capsys):
@@ -308,7 +319,7 @@ def test_help_exits_zero():
 
 def test_repeated_calls_share_one_parser_and_no_values(capsys):
     argv = ["predict-gap", "wc:n=5,sol=0", "--z", "0.5"]
-    fresh = subprocess.run([sys.executable, "-m", "diaboli", *argv], capture_output=True, text=True)
+    fresh = run_module(*argv)
     assert fresh.returncode == 0
     spectrum = ["spectrum", "wc:n=3,sol=0", "--variant", "z_scaled", "--sweep", "x", "--fixed", "-1"]
     assert run_cli(capsys, *spectrum, "--range", "0:0.2", "--samples", "3")[0] == 0
@@ -317,10 +328,6 @@ def test_repeated_calls_share_one_parser_and_no_values(capsys):
 
 
 def test_installed_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "diaboli", "berry", "wc:n=3,sol=0"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("berry", "wc:n=3,sol=0")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["phase"] == "pi"

@@ -141,9 +141,8 @@ def test_interlacing_and_trace():
 
 
 def test_exhausted_newton_budget_raises(monkeypatch):
-    # The whole spectrum at G > 2 starts at the middle of each root's bracket,
-    # and the two lowest roots at G > 2 start at roots of models that lump or
-    # hold the far groups, so one evaluation cannot end them.
+    # Roots at G > 2 start at roots of models that lump or hold the far groups,
+    # so one evaluation cannot end them.
     ham = random_arrowhead(np.random.default_rng(5), 65)
     diag = ViolationDiagonal(np.array([0, 1, 2, 3, 1, 2, 3, 3]))  # G = 4 and k_0 = 1: two roots
     monkeypatch.setattr(eigensolver, "_STEP_BUDGET", 1)
@@ -154,6 +153,9 @@ def test_exhausted_newton_budget_raises(monkeypatch):
     # A border whose square overflows raises before any evaluation, and names its point.
     with pytest.raises(ConvergenceFailure, match=r"border 1e\+155 at z = 0.5 squares to inf"):
         lowest_levels(worst_case_diagonal(3, 5), "unscaled", 1e155, 0.5)
+    # One whose square times the 8 states overflows puts the ground root's bracket end at -inf.
+    with pytest.raises(ConvergenceFailure, match="non-finite values"):
+        lowest_levels(worst_case_diagonal(3, 5), "unscaled", 1e154, 0.5, 1)
     # Over the default loop the two lowest roots at G = 4 end within three
     # evaluations under every variant: root 0 starts from the lumped model, and
     # root 1 from the one that holds groups 2.. at their sum mid-bracket, and
@@ -190,9 +192,20 @@ def test_roots_above_two_groups_end_within_three_evaluations(monkeypatch):
         lowest_levels(diag, variant, xs, zs, count)
 
 
+@pytest.mark.parametrize("variant, budget", [("unscaled", 4), ("z_scaled", 3), ("x_scaled", 3)])
+def test_whole_spectra_above_two_groups_end_within_a_few_evaluations(variant, budget, monkeypatch):
+    # Every root of the whole spectrum, over the default loop at G = 3..12:
+    # root 0 from the lumped model, the top root from its mirror image, and
+    # root j from the one that keeps groups j - 1 and j.
+    xs, zs = LoopPath.default_rectangle().sample_coordinates()
+    monkeypatch.setattr(eigensolver, "_STEP_BUDGET", budget)
+    for diag in cnf_diagonals_by_groups():
+        assert lowest_levels(diag, variant, xs, zs).roots.shape[1] == diag.histogram.values.size + 1
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_lowest_levels_above_two_groups_match_eigvalsh_of_the_sector(variant):
-    # Every start path: count 1 and 2 (model starts) and the whole spectrum (split starts).
+    # Count 1 and 2, and the whole spectrum.
     rng = np.random.default_rng(3131)
     for diag in cnf_diagonals_by_groups():
         xs = rng.uniform(-1.5, 1.5, size=8) * 10.0 ** rng.integers(-6, 1, size=8)
@@ -274,8 +287,9 @@ def test_min_gap_respects_endpoints():
 
 def test_min_gap_raises_when_the_bracket_cannot_shrink_to_tol(monkeypatch):
     diag = worst_case_diagonal(3, solution_index=0)
-    with pytest.raises(ValueError, match="at least 4 samples"):
-        min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=0.0, hi=0.2, samples=3)
+    for samples in (3, 65.0):
+        with pytest.raises(ValueError, match="at least 4 samples"):
+            min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=0.0, hi=0.2, samples=samples)
     with pytest.raises(ValueError, match="sweep must be 'x' or 'z'"):
         min_gap_on_segment(diag, "unscaled", "y", fixed=-1.0, lo=0.0, hi=0.2)
     for lo, hi in ((0.2, 0.2), (0.2, 0.0), (0.0, math.inf), (math.nan, 0.2)):
@@ -525,6 +539,35 @@ def test_extreme_couplings_converge_and_match_mpmath_at_80_digits(mp):
                 scale = max(abs(v) for v in want)
                 for got, level in zip(roots[p].tolist(), want):
                     assert abs(got - level) <= 1e-13 * scale, (count, x)
+
+
+def test_off_bracket_model_starts_take_the_bracket_middle(mp, monkeypatch):
+    """At x = 1e-12..1e-9 root 1's model puts it a rounding error below poles[0], its origin,
+    outside its bracket; it starts mid-bracket instead, and every level still matches an
+    80-digit bisection to 1e-13 of itself."""
+
+    diag = ViolationDiagonal(np.array([0, 1, 2, 3, 1, 2, 3, 3]))  # G = 4
+    xs, z = 10.0 ** np.arange(-12, -8), 0.5
+    starts, model_start = [], eigensolver._model_start
+
+    def spy(*args):
+        starts.append(model_start(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(eigensolver, "_model_start", spy)
+    poles, k = diag.histogram.values.tolist(), diag.histogram.counts.tolist()
+    with mp.workdps(80):
+        for variant in VARIANTS:
+            roots = lowest_levels(diag, variant, xs, z).roots
+            right, tau = starts.pop()
+            assert not np.any(right[1]) and np.all(tau[1] < 0.0)  # the bracket is (0, width) from the origin
+            factor, divisor = variant_scales(variant, diag.dimension)
+            q = mp.mpf(z / 4.0)
+            levels = [q + mp.mpf(factor * u) for u in poles]
+            for p, x in enumerate(xs.tolist()):
+                for j, got in enumerate(roots[p].tolist()):
+                    want = mp_bisected_root(mp, levels, k, mp.mpf(x / divisor), -q, j)
+                    assert abs(got - want) <= 1e-13 * abs(want), (variant, x, j)
 
 
 def test_ground_vector_next_to_a_pole_stays_normalized(mp):
