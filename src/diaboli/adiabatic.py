@@ -1,10 +1,11 @@
 """Time-dependent evolution around the control loop.
 
-The loop is traversed once via an arc-length coordinate ``s`` in [0, 1].
-Each time step applies the exact unitary of the instantaneous operator at
-the step's midpoint, so the only discretization error is the
-piecewise-constant treatment of H(t) (local error O(dt**3)).  Norm is
-therefore conserved structurally and only monitored, never restored.
+The loop is traversed once via an arc-length coordinate ``s`` in [0, 1],
+which ``LoopPath.points_at`` maps to (x, z).  Each time step applies the
+exact unitary of the instantaneous operator at the step's midpoint, so the
+only discretization error is the piecewise-constant treatment of H(t)
+(local error O(dt**3)).  Norm is therefore conserved structurally and only
+monitored, never restored.
 
 The evolution runs in the symmetric sector: the start state is uniform on
 each violation-count group, and the operator maps such states to such
@@ -39,7 +40,7 @@ from .errors import NormDrift, ScheduleInvalid
 from .eigensolver import lowest_levels
 from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
-from .holonomy import LoopPath
+from .holonomy import LoopPath, _log_csv
 from .instance import ViolationDiagonal
 
 PROFILES = ("uniform", "gap_adaptive")
@@ -92,34 +93,6 @@ class EvolutionResult:
     geometric_phase_estimate: float
     max_norm_drift: float
     log: tuple[EvolutionStep, ...] | None = None
-
-
-class _ArcLengthLoop:
-    """Piecewise-linear map from s in [0, 1] to points on the loop."""
-
-    def __init__(self, path: LoopPath) -> None:
-        pts = path.waypoints
-        xs = np.array([p.x for p in pts])
-        zs = np.array([p.z for p in pts])
-        seg = np.hypot(np.diff(xs), np.diff(zs))
-        total = float(seg.sum())
-        if total <= 0.0:
-            raise ScheduleInvalid("loop has zero length")
-        self._xs = xs
-        self._zs = zs
-        self._cum = np.concatenate(([0.0], np.cumsum(seg))) / total
-
-    def points_at(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates (x, z) of the loop at each arc-length fraction in ``s``."""
-
-        s = np.clip(s, 0.0, 1.0)
-        i = np.clip(np.searchsorted(self._cum, s, side="right") - 1, 0, self._cum.size - 2)
-        span = self._cum[i + 1] - self._cum[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(span == 0.0, 0.0, (s - self._cum[i]) / span)
-        x = self._xs[i] + (self._xs[i + 1] - self._xs[i]) * t
-        z = self._zs[i] + (self._zs[i + 1] - self._zs[i]) * t
-        return x, z
 
 
 def _step_durations(gaps: np.ndarray | None, schedule: Schedule) -> np.ndarray:
@@ -179,10 +152,9 @@ def evolve(
 ) -> EvolutionResult:
     """Propagate the instantaneous ground state once around the loop."""
 
-    loop = _ArcLengthLoop(path)
     steps = schedule.steps
     s_edges = np.linspace(0.0, 1.0, steps + 1)
-    x_mid, z_mid = loop.points_at(0.5 * (s_edges[:-1] + s_edges[1:]))
+    x_mid, z_mid = path.points_at(0.5 * (s_edges[:-1] + s_edges[1:]))
     hist = diag.histogram
     dim = hist.values.size + 1
     chunk = max(1, _BATCH_ENTRIES // (dim * (dim - 1)))
@@ -193,7 +165,7 @@ def evolve(
     # Ground levels and states at the step edges, in sector coordinates.  The
     # log's e1 comes from the same solve: root 0 starts and steps alike
     # whether root 1 is asked for, so logging moves no bit of e0.
-    x_edge, z_edge = loop.points_at(s_edges)
+    x_edge, z_edge = path.points_at(s_edges)
     edges = lowest_levels(diag, variant, x_edge, z_edge, 2 if collect_log else 1)
     e0 = edges.level(0)
     root_k = np.sqrt(hist.counts.astype(np.float64))
@@ -254,12 +226,4 @@ def evolve(
 def evolution_csv(result: EvolutionResult) -> str:
     """CSV dump of an evolution log collected with ``collect_log=True``."""
 
-    if result.log is None:
-        raise ValueError("evolve was run without collect_log=True")
-    lines = ["t,x,z,e0,e1,fidelity,norm"]
-    for row in result.log:
-        lines.append(
-            f"{row.t:.17g},{row.x:.17g},{row.z:.17g},{row.e0:.17g},{row.e1:.17g},"
-            f"{row.fidelity:.17g},{row.norm:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    return _log_csv(result.log, EvolutionStep, "evolve")

@@ -172,7 +172,7 @@ def _cmd_berry(args: argparse.Namespace) -> int:
     path = LoopPath.default_rectangle(samples_per_edge=args.samples_per_edge)
     result = berry_phase(diag, args.variant, path, collect_log=args.transport_csv is not None)
     if args.transport_csv is not None:
-        Path(args.transport_csv).write_text(transport_csv(result))
+        _emit(transport_csv(result), args.transport_csv)
     _emit(_json_text(result.to_dict()), args.out)
     return 0
 
@@ -190,7 +190,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     path = LoopPath.default_rectangle()
     result = evolve(diag, args.variant, path, schedule, collect_log=args.out is not None)
     if args.out is not None:
-        Path(args.out).write_text(evolution_csv(result))
+        _emit(evolution_csv(result), args.out)
     summary = {
         "total_time": result.total_time,
         "speed_profile": result.speed_profile,

@@ -282,10 +282,10 @@ def _leftmost_roots(
     # The rows' constants, stacked so that one compress drops finished rows.  Rows are root-major,
     # so that neighbouring rows are neighbouring points and take the same branches.
     state = np.empty((2 * g + 4, rows))
-    shifted, weight, (level, near_pole, near_weight, summed) = state[:g], state[g : 2 * g], state[2 * g :]
+    shifted, weight, (level, near_pole, near_weight, spread) = state[:g], state[g : 2 * g], state[2 * g :]
     np.multiply(k[:, None, None], b2, out=weight.reshape((g,) + by_root))
-    np.multiply(size, b2, out=summed.reshape(by_root))
-    total = np.sqrt(summed[:points]) + 1.0
+    np.sqrt(size * b2, out=spread.reshape(by_root))  # sqrt(size * b2), which bounds the far terms
+    total = spread[:points] + 1.0
     low, high = np.repeat(left_pole, points, axis=1), np.repeat(right_pole, points, axis=1)
     low[0] = np.minimum(poles[0], head) - total
     if count > g:
@@ -307,29 +307,24 @@ def _leftmost_roots(
     np.subtract(poles[:, None, None], origin, out=shifted.reshape((g,) + by_root))
     np.subtract(head, origin, out=level.reshape(by_root))
     np.multiply(np.where(right, k[near_right][:, None], k[near_left][:, None]), b2, out=near_weight.reshape(by_root))
-    near_pole[:], free = 0.0, 0
+    near_pole[:] = 0.0
     if poles[0] > 0.0:
-        free = points - np.count_nonzero(right[0])
-        if free:
-            near_pole[:points][~right[0]], near_weight[:points][~right[0]] = np.inf, 0.0
+        near_pole[:points][~right[0]], near_weight[:points][~right[0]] = np.inf, 0.0
     # Distinct poles meet a row's origin only at its near pole, whose difference is an exact 0.
     near = shifted == 0.0
     np.copyto(shifted, np.inf, where=near)
     # f's rounding error is within eps * ((G + 3) * (sum |far terms| + |rest|) + 5 * slope * |tau|):
     # dlaed4's kind of bound, (G + 2) * sum |terms| + |level| + |tau| * (1 + 3 * slope), read with
     # |near term| <= |rest| + |f| and |level| <= |rest| + |tau| + sum |far terms|.  By Cauchy-Schwarz,
-    # sum |far terms| <= sqrt(size * b2 * curve).
+    # sum |far terms| <= sqrt(size * b2) * sqrt(curve), taken as that product so that it does not overflow.
     ulps = _EPS * (g + 3)
     offset, work, closed = np.empty(rows), np.arange(rows), 0  # closed: how many finished rows' brackets have closed
     for _ in range(_STEP_BUDGET):
-        if g > 1 or free:
-            dist = shifted - tau
-            terms = weight / dist
-            rest = level - tau - _pole_sum(terms)
-            curve = _pole_sum(np.divide(terms, dist, out=terms))
-            bend = _pole_sum(np.divide(terms, dist, out=terms))
-        else:  # G = 1: every row's near pole is the only one
-            rest, curve, bend = level - tau, 0.0, 0.0
+        dist = shifted - tau
+        terms = weight / dist
+        rest = level - tau - _pole_sum(terms)
+        curve = _pole_sum(np.divide(terms, dist, out=terms))
+        bend = _pole_sum(np.divide(terms, dist, out=terms))
         # f(tau) = rest - near_weight / (near_pole - tau), where rest is everything else (the head
         # level, -tau and the far poles), of slope -(1 + curve) and curvature -2 * bend.
         slope = 1.0 + curve
@@ -364,7 +359,7 @@ def _leftmost_roots(
             step = np.where(jump, np.copysign(distance, tau), step)
         # A root is done when f is within its rounding-error bound, and
         # still takes its last step when that lies inside the bracket.
-        finished = np.abs(value) <= ulps * (np.sqrt(summed * curve) + np.abs(rest)) + 5.0 * _EPS * slope * abs_tau
+        finished = np.abs(value) <= ulps * (spread * np.sqrt(curve) + np.abs(rest)) + 5.0 * _EPS * slope * abs_tau
         inside = (lo < step) & (step < hi)
         last, tau = tau, step
         if np.count_nonzero(inside) < inside.size:
@@ -383,7 +378,7 @@ def _leftmost_roots(
             offset[work[finished]] = tau[finished]
             active, closed = ~finished, 0
             state, work, tau, lo, hi = (np.compress(active, a, axis=-1) for a in (state, work, tau, lo, hi))
-            shifted, weight, (level, near_pole, near_weight, summed) = state[:g], state[g : 2 * g], state[2 * g :]
+            shifted, weight, (level, near_pole, near_weight, spread) = state[:g], state[g : 2 * g], state[2 * g :]
     else:
         missed = finished.size - np.count_nonzero(finished)
         raise ConvergenceFailure(f"{missed} secular root(s) missed tolerance after {_STEP_BUDGET} steps")

@@ -27,14 +27,16 @@ points, where later levels find their midpoints.  The walk is read off the
 segments it keeps, so a prefetched point it never reaches does not reach
 the result.  A point's solve does not depend on its batch, so the walk,
 its log and its errors are bit for bit those of solving each level's
-midpoints alone.
+midpoints alone.  A logged transport re-solves the points it walked, in
+one more batch, for the log's levels.  ``LoopPath.points_at`` gives the
+point at any fraction of the loop's length, which evolution steps along.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -82,6 +84,7 @@ class LoopPath:
     waypoints: tuple[ParameterPoint, ...]
     samples_per_edge: int = DEFAULT_SAMPLES_PER_EDGE
     _samples: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _arc: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple(
@@ -112,6 +115,9 @@ class LoopPath:
         for axis in samples:
             axis.flags.writeable = False
         object.__setattr__(self, "_samples", samples)
+        corner_x, corner_z = np.array([p.x for p in pts]), np.array([p.z for p in pts])
+        seg = np.hypot(np.diff(corner_x), np.diff(corner_z))
+        object.__setattr__(self, "_arc", (corner_x, corner_z, np.concatenate(([0.0], np.cumsum(seg))) / seg.sum()))
 
     @classmethod
     def default_rectangle(cls, samples_per_edge: int = DEFAULT_SAMPLES_PER_EDGE) -> "LoopPath":
@@ -134,6 +140,22 @@ class LoopPath:
         """``sample_coordinates`` as a list of points."""
 
         return [ParameterPoint(x, z) for x, z in zip(*self.sample_coordinates())]
+
+    def points_at(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates (x, z) of the loop at each fraction ``s`` of its length.
+
+        ``s`` runs from 0 at the first waypoint once around to 1, back at it;
+        values outside [0, 1] clip to the ends.  A zero-length edge maps to
+        its waypoint.
+        """
+
+        xs, zs, cum = self._arc
+        s = np.clip(s, 0.0, 1.0)
+        i = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, cum.size - 2)
+        span = cum[i + 1] - cum[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(span == 0.0, 0.0, (s - cum[i]) / span)
+        return xs[i] + (xs[i + 1] - xs[i]) * t, zs[i] + (zs[i + 1] - zs[i]) * t
 
 
 _DEFAULT_LOOP = LoopPath.default_rectangle()
@@ -177,7 +199,7 @@ class BerryResult:
 
 
 class _Points:
-    """Solved points as table columns, in order of solving: x, z, e0, e1 (if ``levels``), gap, the ground vector.
+    """Solved points as table columns, in order of solving: x, z, gap, the ground vector.
 
     The ground vector is the head amplitude, then one per group, which ``weights`` sums over.  The
     columns are the loop samples, then each prefetched subtree, walked or not; the first ``size``
@@ -186,13 +208,12 @@ class _Points:
     two halves, or -1 where that column's prefetch did not go deeper.
     """
 
-    def __init__(self, diag: ViolationDiagonal, variant: str, levels: bool) -> None:
+    def __init__(self, diag: ViolationDiagonal, variant: str) -> None:
         self.diag = diag
         self.variant = variant
-        self.levels = levels
         self.weights = np.concatenate(([1.0], diag.histogram.counts))  # the head's, then each group's
         self.size = 0
-        self.table = np.empty((5 + self.weights.size, 0))
+        self.table = np.empty((3 + self.weights.size, 0))
         self.children = np.empty((0, 2), dtype=np.int64)
 
     def solve(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -204,13 +225,11 @@ class _Points:
             table, children = np.empty((self.table.shape[0], 2 * self.size)), np.full((2 * self.size, 2), -1)
             table[:, :first], children[:first] = self.table[:, :first], self.children[:first]
             self.table, self.children = table, children
-            self.x, self.z, self.e0, self.e1, self.gap = table[:5]
-            self.vectors = table[5:]
+            self.x, self.z, self.gap = table[:3]
+            self.vectors = table[3:]
         block = self.table[:, first : self.size]
-        amplitudes, block[5] = levels.ground()
-        block[0], block[1], block[4], block[6:] = x, z, levels.gap(), amplitudes.T
-        if self.levels:
-            block[2], block[3] = levels.level(0), levels.level(1)
+        amplitudes, block[3] = levels.ground()
+        block[0], block[1], block[2], block[4:] = x, z, levels.gap(), amplitudes.T
         return np.arange(first, self.size)
 
     def fetch(self, a: np.ndarray, b: np.ndarray, levels: int, axis_tol: float) -> np.ndarray:
@@ -292,13 +311,14 @@ def berry_phase(
     (``DegenerateOnLoop``), or a segment whose overlap is still below
     ``OVERLAP_FLOOR`` (``RefinementExhausted``).  A midpoint on x = 0, up
     to the rounding of the samples, moves half a step on, as a sample does.
+    With ``collect_log`` the walked points are solved once more, in one batch, for the log's levels.
     """
 
     if path is None:
         path = _DEFAULT_LOOP
     xs, zs = path.sample_coordinates()
     n = xs.size
-    pts = _Points(diag, variant, collect_log)
+    pts = _Points(diag, variant)
     pts.solve(xs, zs)
 
     # The segments still to look at, as rows of end points, depth, the prefetched
@@ -367,16 +387,17 @@ def berry_phase(
     sign = 1 if closing > 0.0 else -1
     log = None
     if collect_log:
-        # Logged overlaps are taken against the transported previous vector,
-        # and the sign column counts the flips that transport makes.
+        # The walked points' levels, re-solved in one batch.  Logged overlaps are taken against
+        # the transported previous vector, and the sign column counts the flips that transport makes.
+        walked = np.concatenate(([0], right))
+        x, z = pts.x[walked], pts.z[walked]
+        levels = lowest_levels(diag, variant, x, z, 2)
         gauge = np.cumprod(np.where(overlap < 0.0, -1, 1))
         logged = np.concatenate(([1], gauge[:-1])) * overlap
         flips = np.cumprod(np.where(logged < 0.0, -1, 1))
-        rows = [(0, 1.0, 1)] + list(zip(right.tolist(), logged.tolist(), flips.tolist()))
-        log = tuple(
-            TransportStep(step, float(pts.x[i]), float(pts.z[i]), float(pts.e0[i]), float(pts.e1[i]), ov, cum)
-            for step, (i, ov, cum) in enumerate(rows)
-        )
+        columns = (np.arange(walked.size), x, z, levels.level(0), levels.level(1),
+                   np.concatenate(([1.0], logged)), np.concatenate(([1], flips)))
+        log = tuple(map(TransportStep, *(column.tolist() for column in columns)))
     return BerryResult(
         phase=math.pi if sign < 0 else 0.0,
         holonomy_sign=sign,
@@ -394,15 +415,17 @@ def solubility(diag: ViolationDiagonal, variant: str = "unscaled") -> bool:
     return berry_phase(diag, variant).holonomy_sign < 0
 
 
+def _log_csv(log: tuple | None, row: type, producer: str) -> str:
+    """A log collected with ``collect_log=True`` as CSV: ``row``'s field names, then each value as %.17g."""
+
+    if log is None:
+        raise ValueError(f"{producer} was run without collect_log=True")
+    lines = [",".join(f.name for f in fields(row))]
+    lines += (",".join(f"{v:.17g}" for v in vars(entry).values()) for entry in log)
+    return "\n".join(lines) + "\n"
+
+
 def transport_csv(result: BerryResult) -> str:
     """CSV dump of a transport log collected with ``collect_log=True``."""
 
-    if result.log is None:
-        raise ValueError("berry_phase was run without collect_log=True")
-    lines = ["step,x,z,e0,e1,overlap,cumulative_sign"]
-    for row in result.log:
-        lines.append(
-            f"{row.step},{row.x:.17g},{row.z:.17g},{row.e0:.17g},{row.e1:.17g},"
-            f"{row.overlap:.17g},{row.cumulative_sign}"
-        )
-    return "\n".join(lines) + "\n"
+    return _log_csv(result.log, TransportStep, "berry_phase")

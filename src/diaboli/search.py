@@ -90,11 +90,9 @@ def solve(diag: ViolationDiagonal, variant: str = "unscaled", oracle: Oracle | N
 
     lo, hi = 0, size
     steps: list[SearchStep] = []
-    half_space_calls = 0
     while hi - lo > 1:
         mid = lo + (hi - lo) // 2
         outcome = ask(restrict(diag, slice(lo, mid)))
-        half_space_calls += 1
         steps.append(
             SearchStep(
                 mask_size=hi - lo,
@@ -113,6 +111,6 @@ def solve(diag: ViolationDiagonal, variant: str = "unscaled", oracle: Oracle | N
         soluble=True,
         result=result,
         iterations=tuple(steps),
-        oracle_calls=half_space_calls,
-        total_oracle_calls=half_space_calls + 1,
+        oracle_calls=len(steps),
+        total_oracle_calls=len(steps) + 1,
     )

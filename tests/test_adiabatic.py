@@ -108,10 +108,28 @@ def test_evolution_csv_shape():
     assert float(lines[-1].split(",")[0]) == pytest.approx(50.0)
 
 
+def test_points_at_runs_once_around_the_loop_and_clips_outside_it():
+    skewed = LoopPath(((0.5, 1.0), (-1.0, 1.0), (-1.0, -2.0), (1.0, -1.0), (0.5, 1.0)))
+    for path in (RECT, skewed):  # last edges whose a + (b - a) rounds to b, so s = 1 lands exactly
+        start = path.waypoints[0]
+        x, z = path.points_at(np.array([-0.5, 0.0, 1.0, 1.5]))
+        assert x.tolist() == [start.x] * 4 and z.tolist() == [start.z] * 4
+    x, z = RECT.points_at(np.array([0.125, 0.25, 0.5]))  # the edges are 1, 2, 2, 2 and 1 long
+    assert x.tolist() == [-1.0, -1.0, 0.0] and z.tolist() == [1.0, 0.0, -1.0]
+    # A repeated waypoint adds an edge of length 0: the points stay finite, and
+    # are the loop's without it, so evolve gives the same result.
+    doubled = LoopPath(RECT.waypoints[:2] + RECT.waypoints[1:])
+    s = np.linspace(0.0, 1.0, 801)
+    assert np.all(np.isfinite(doubled.points_at(s))) and np.array_equal(doubled.points_at(s), RECT.points_at(s))
+    diag, schedule = worst_case_diagonal(3, 5), Schedule(100.0, steps=200)
+    result = evolve(diag, "unscaled", doubled, schedule)
+    assert np.array_equal(result.final_state, evolve(diag, "unscaled", RECT, schedule).final_state)
+
+
 def dense_walk(diag, variant, schedule):
     """Oracle: step the full (2**n + 1)-dim state with one dense eigh per step."""
 
-    loop = adiabatic._ArcLengthLoop(RECT)
+    loop = RECT
     s_edges = np.linspace(0.0, 1.0, schedule.steps + 1)
     x_mid, z_mid = loop.points_at(0.5 * (s_edges[:-1] + s_edges[1:]))
     durations = adiabatic._step_durations(lowest_levels(diag, variant, x_mid, z_mid, 2).gap(), schedule)
@@ -201,7 +219,7 @@ def sector_loop(diag, variant, schedule):
     normalized group-uniform states and the head.
     """
 
-    loop = adiabatic._ArcLengthLoop(RECT)
+    loop = RECT
     s_edges = np.linspace(0.0, 1.0, schedule.steps + 1)
     x_mid, z_mid = loop.points_at(0.5 * (s_edges[:-1] + s_edges[1:]))
     durations = adiabatic._step_durations(lowest_levels(diag, variant, x_mid, z_mid, 2).gap(), schedule)

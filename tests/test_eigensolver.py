@@ -24,7 +24,6 @@ from diaboli import (
     violation_diagonal,
     worst_case_diagonal,
 )
-from diaboli.adiabatic import _ArcLengthLoop
 from diaboli.hamiltonian import Sector, variant_scales
 
 
@@ -541,6 +540,35 @@ def test_extreme_couplings_converge_and_match_mpmath_at_80_digits(mp):
                     assert abs(got - level) <= 1e-13 * scale, (count, x)
 
 
+def test_stop_rule_bound_stays_finite_at_huge_couplings(mp):
+    """The stop rule bounds the far terms by sqrt(size b2) sqrt(curve), which stays finite where
+    sqrt(size b2 curve) overflows and let a root end wherever it stood.  Every call, at |x| = 1e60..1e150,
+    either raises ConvergenceFailure or matches an 80-digit bisection (on a seeded subsample) to 1e-13
+    of the level scale: the larger of the level and the operator's largest diagonal entry."""
+
+    e0 = lowest_levels(worst_case_diagonal(3), "unscaled", [3e153], [0.5], 1).roots[0, 0]
+    assert e0 == pytest.approx(-8.4852813742385e153, rel=1e-13)
+    g9 = ViolationDiagonal(np.arange(16) % 9 + 1)
+    assert lowest_levels(g9, "unscaled", [-1e110], [-1.0], 3).roots[0, 1] == pytest.approx(1.0610157878628685, rel=1e-13)
+    solved, xs = [], 10.0 ** np.arange(60, 151, 10)
+    for diag, variant, count in itertools.product((worst_case_diagonal(3), worst_case_diagonal(3, 5), g9), VARIANTS, (1, 2, None)):
+        for x, z in ((xs, 0.5), (-xs, -1.0)):
+            try:
+                roots = lowest_levels(diag, variant, x, z, count).roots
+            except ConvergenceFailure:
+                continue
+            solved += [(diag, variant, x[p], z, j, level) for p, row in enumerate(roots.tolist()) for j, level in enumerate(row)]
+    with mp.workdps(80):
+        for i in np.random.default_rng(6015).choice(len(solved), 40, replace=False):
+            diag, variant, x, z, j, got = solved[i]
+            factor, divisor = variant_scales(variant, diag.dimension)
+            q = mp.mpf(z) / 4
+            levels = [q + factor * u for u in diag.histogram.values.tolist()]
+            want = mp_bisected_root(mp, levels, diag.histogram.counts.tolist(), mp.mpf(x / divisor), -q, j)
+            scale = max(abs(want), abs(q), *(abs(v) for v in levels))
+            assert abs(got - want) <= 1e-13 * scale, (diag.histogram.values.size, variant, x, j)
+
+
 def test_off_bracket_model_starts_take_the_bracket_middle(mp, monkeypatch):
     """At x = 1e-12..1e-9 root 1's model puts it a rounding error below poles[0], its origin,
     outside its bracket; it starts mid-bracket instead, and every level still matches an
@@ -646,7 +674,7 @@ def evolution_midpoints(steps=2000):
     """The step midpoints an ``evolve`` of ``steps`` steps solves on the default loop."""
 
     edges = np.linspace(0.0, 1.0, steps + 1)
-    return _ArcLengthLoop(LoopPath.default_rectangle()).points_at(0.5 * (edges[:-1] + edges[1:]))
+    return LoopPath.default_rectangle().points_at(0.5 * (edges[:-1] + edges[1:]))
 
 
 @pytest.mark.parametrize("n", [3, 8, 16])

@@ -247,6 +247,30 @@ def test_transport_csv_needs_a_log():
     assert lines[-1].split(",")[-1] in {"-1", "1"}
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_logged_transport_re_solves_its_walked_points_in_one_more_call(variant, monkeypatch):
+    real = holonomy.lowest_levels
+    batches = []
+
+    def counting(diag, variant, x, z, count):
+        batches.append(x.size)
+        return real(diag, variant, x, z, count)
+
+    monkeypatch.setattr(holonomy, "lowest_levels", counting)
+    coarse = LoopPath.default_rectangle(samples_per_edge=4)  # refines next to the crossing
+    for diag, path in ((worst_case_diagonal(7, 0), coarse), (violation_diagonal(random_instance(6, 25, 2)), None)):
+        batches.clear()
+        bare = berry_phase(diag, variant, path)
+        calls = len(batches)
+        logged = berry_phase(diag, variant, path, collect_log=True)
+        assert len(batches) == 2 * calls + 1 and batches[-1] == len(logged.log) == logged.points_solved
+        assert dataclasses.replace(logged, log=None) == bare
+        # Each row's levels are its point's, solved alone, to the bit.
+        for row in logged.log:
+            alone = real(diag, variant, np.array([row.x]), np.array([row.z]), 2)
+            assert np.array([row.e0, row.e1]).tobytes() == np.concatenate((alone.level(0), alone.level(1))).tobytes()
+
+
 class FloorTie(Exception):
     """The dense walk met a step whose overlap is ``OVERLAP_FLOOR`` up to rounding."""
 

@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,4 +70,27 @@ def test_every_imported_name_is_used():
         kept = {name for module, name in wrapped if module == f"diaboli.{path.stem}"}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used | kept]
     assert ("diaboli.cli", "build") in wrapped
+    assert unused == []
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # A private function, class or constant that nothing in the package
+    # reaches, outside its own definition, is dead code even if a test calls it.
+    def references(node) -> list[str]:
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(Path(diaboli.__file__).parent.glob("*.py"))}
+    everywhere = Counter(name for tree in trees.values() for name in references(tree))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            own = Counter(references(node))
+            unused += [f"{module}:{node.lineno} {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and everywhere[name] == own[name]]
     assert unused == []
