@@ -61,9 +61,6 @@ class SubspaceMask:
             raise IndexOutOfRange("mask indices must be strictly increasing")
         object.__setattr__(self, "selected", sel)
 
-    def __len__(self) -> int:
-        return len(self.selected)
-
 
 @dataclass(frozen=True, eq=False)
 class ArrowheadHamiltonian:

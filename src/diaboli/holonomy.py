@@ -16,16 +16,17 @@ the head amplitude (see ``Levels.ground``), so an overlap is the short sum
 samples are solved in one batch; segments whose endpoint vectors overlap
 weakly are then bisected level by level, so the transport never jumps
 across an avoided crossing.  Each level looks only at the halves the
-last one made: a segment that does not split is set aside, and the ones
-set aside are put in walk order at the end.
+last one made.  Every solved point has a place along the loop, exact in
+binary; a segment that does not split stores its overlap at its end
+point, and the walk is point 0, then the points with one in place order.
 
 Near a crossing each level splits only a few segments, and one solve costs
 about the same for one point as for dozens.  So a segment that splits
 without a solved midpoint has its whole bisection subtree, a few levels
 deep, solved in one batch (prefetched) into the one table of solved
-points, where later levels find their midpoints.  The walk is read off the
-segments it keeps, so a prefetched point it never reaches does not reach
-the result.  A point's solve does not depend on its batch, so the walk,
+points, where later levels find their midpoints by place.  A prefetched
+point the walk never reaches stores no overlap, so it does not reach the
+result.  A point's solve does not depend on its batch, so the walk,
 its log and its errors are bit for bit those of solving each level's
 midpoints alone.  A logged transport re-solves the points it walked, in
 one more batch, for the log's levels.  ``LoopPath.points_at`` gives the
@@ -116,8 +117,8 @@ class LoopPath:
             axis.flags.writeable = False
         object.__setattr__(self, "_samples", samples)
         corner_x, corner_z = np.array([p.x for p in pts]), np.array([p.z for p in pts])
-        seg = np.hypot(np.diff(corner_x), np.diff(corner_z))
-        object.__setattr__(self, "_arc", (corner_x, corner_z, np.concatenate(([0.0], np.cumsum(seg))) / seg.sum()))
+        arc = np.cumsum(np.hypot(np.diff(corner_x), np.diff(corner_z)))
+        object.__setattr__(self, "_arc", (corner_x, corner_z, np.concatenate(([0.0], arc / arc[-1]))))
 
     @classmethod
     def default_rectangle(cls, samples_per_edge: int = DEFAULT_SAMPLES_PER_EDGE) -> "LoopPath":
@@ -144,9 +145,9 @@ class LoopPath:
     def points_at(self, s) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates (x, z) of the loop at each fraction ``s`` of its length.
 
-        ``s`` runs from 0 at the first waypoint once around to 1, back at it;
-        values outside [0, 1] clip to the ends.  A zero-length edge maps to
-        its waypoint.
+        ``s`` runs from 0 at the first waypoint once around to 1, back at it
+        exactly; values outside [0, 1] clip to the ends.  A zero-length edge
+        maps to its waypoint.
         """
 
         xs, zs, cum = self._arc
@@ -155,7 +156,8 @@ class LoopPath:
         span = cum[i + 1] - cum[i]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(span == 0.0, 0.0, (s - cum[i]) / span)
-        return xs[i] + (xs[i + 1] - xs[i]) * t, zs[i] + (zs[i + 1] - zs[i]) * t
+        end = t == 1.0  # a + (b - a) * 1 can miss b by an ulp
+        return tuple(np.where(end, c[i + 1], c[i] + (c[i + 1] - c[i]) * t) for c in (xs, zs))
 
 
 _DEFAULT_LOOP = LoopPath.default_rectangle()
@@ -199,13 +201,17 @@ class BerryResult:
 
 
 class _Points:
-    """Solved points as table columns, in order of solving: x, z, gap, the ground vector.
+    """Solved points as table columns, in order of solving: x, z, place, gap, overlap, the ground vector.
 
-    The ground vector is the head amplitude, then one per group, which ``weights`` sums over.  The
-    columns are the loop samples, then each prefetched subtree, walked or not; the first ``size``
-    are filled.  The table keeps room to grow, and the row views cover all of it, so they are
-    rebuilt only when it grows.  ``children[c]`` holds the columns of the midpoints of column ``c``'s
-    two halves, or -1 where that column's prefetch did not go deeper.
+    A point's place is where it sits along the loop: sample ``j`` at ``j << MAX_REFINE_DEPTH``, and
+    a bisection midpoint halfway between the places of its segment's ends, whatever the x = 0
+    nudge does to its x and z.  So places are exact dyadic numbers, one per point, and ``column_at``
+    finds the column of each prefetched point by its place.  A walked point's overlap row holds
+    the overlap of the walk's segment that ends there; it is NaN at every other point.  The ground
+    vector is the head amplitude, then one per group, which ``weights`` sums over.  The columns are
+    the loop samples, then each prefetched subtree, walked or not; the first ``size`` are filled.
+    The table keeps room to grow, and the row views cover all of it, so they are rebuilt only when
+    it grows.
     """
 
     def __init__(self, diag: ViolationDiagonal, variant: str) -> None:
@@ -213,23 +219,23 @@ class _Points:
         self.variant = variant
         self.weights = np.concatenate(([1.0], diag.histogram.counts))  # the head's, then each group's
         self.size = 0
-        self.table = np.empty((3 + self.weights.size, 0))
-        self.children = np.empty((0, 2), dtype=np.int64)
+        self.table = np.empty((5 + self.weights.size, 0))
+        self.column_at: dict[float, int] = {}
 
-    def solve(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def solve(self, x: np.ndarray, z: np.ndarray, place: np.ndarray) -> np.ndarray:
         """Solve a batch of points in one call, append them and return their columns."""
 
         levels = lowest_levels(self.diag, self.variant, x, z, 2)
         first, self.size = self.size, self.size + x.size
         if self.size > self.table.shape[1]:
-            table, children = np.empty((self.table.shape[0], 2 * self.size)), np.full((2 * self.size, 2), -1)
-            table[:, :first], children[:first] = self.table[:, :first], self.children[:first]
-            self.table, self.children = table, children
-            self.x, self.z, self.gap = table[:3]
-            self.vectors = table[3:]
+            table = np.full((self.table.shape[0], 2 * self.size), np.nan)
+            table[:, :first] = self.table[:, :first]
+            self.table = table
+            self.x, self.z, self.place, self.gap, self.overlaps = table[:5]
+            self.vectors = table[5:]
         block = self.table[:, first : self.size]
-        amplitudes, block[3] = levels.ground()
-        block[0], block[1], block[2], block[4:] = x, z, levels.gap(), amplitudes.T
+        amplitudes, block[5] = levels.ground()
+        block[0], block[1], block[2], block[3], block[6:] = x, z, place, levels.gap(), amplitudes.T
         return np.arange(first, self.size)
 
     def fetch(self, a: np.ndarray, b: np.ndarray, levels: int, axis_tol: float) -> np.ndarray:
@@ -240,30 +246,28 @@ class _Points:
         only where the level-by-level walk meets it.
         """
 
-        x, z = _subtree_midpoints(self.table[:2, np.stack((a, b), axis=-1)], levels, axis_tol)
+        x, z, place = _subtree_midpoints(self.table[:3, np.stack((a, b), axis=-1)], levels, axis_tol)
         try:
-            rows = self.solve(x.reshape(-1), z.reshape(-1)).reshape(x.shape)
+            rows = self.solve(x.reshape(-1), z.reshape(-1), place.reshape(-1))
         except ConvergenceFailure:
             if levels == 1:
                 raise
             return self.fetch(a, b, 1, axis_tol)
-        width = x.shape[1]
-        kids = 2 * np.arange(width)[:, None] + np.array([1, 2])
-        self.children[rows] = np.where(kids < width, rows[:, :1, None] + kids, -1)
-        return rows[:, 0]
+        self.column_at.update(zip(place.reshape(-1).tolist(), rows.tolist()))
+        return rows[:: x.shape[1]]  # each subtree's node 0
 
     def overlap(self, a, b) -> np.ndarray:
         return self.weights @ (self.vectors[:, a] * self.vectors[:, b])  # a, b: columns or slices of them
 
 
 def _subtree_midpoints(ends: np.ndarray, levels: int, axis_tol: float) -> np.ndarray:
-    """Midpoints of each segment's bisection subtree, ``levels`` deep, as ``(2, segments, 2**levels - 1)``.
+    """Midpoints of each segment's bisection subtree, ``levels`` deep, as ``(3, segments, 2**levels - 1)``.
 
-    ``ends`` holds the x and z of each segment's start and end point,
-    ``(2, segments, 2)``.  Node 0 bisects the segment and node ``j`` has the
+    ``ends`` holds the x, z and place of each segment's start and end point,
+    ``(3, segments, 2)``.  Node 0 bisects the segment and node ``j`` has the
     halves that nodes ``2j + 1`` and ``2j + 2`` bisect.  A midpoint on
     x = 0, up to the rounding of the samples, moves half a step on, as a
-    sample does.
+    sample does; its place stays halfway.
     """
 
     # Each segment's points along it, 2**levels steps apart at the deepest level.
@@ -276,7 +280,7 @@ def _subtree_midpoints(ends: np.ndarray, levels: int, axis_tol: float) -> np.nda
         mid = 0.5 * (start + end)
         near = np.abs(mid[0]) <= axis_tol
         if near.any():
-            mid = np.where(near & (start[0] != end[0]), 0.5 * (mid + end), mid)
+            mid[:2] = np.where(near & (start[0] != end[0]), 0.5 * (mid[:2] + end[:2]), mid[:2])
         line[..., step // 2 :: step] = mid
         mids.append(mid)
     return np.concatenate(mids, axis=-1)
@@ -294,16 +298,15 @@ def berry_phase(
     The segments of the walk start as the steps between loop samples, all
     solved in one batch.  Then, level by level, every segment whose
     endpoint vectors overlap by less than ``REFINE_TRIGGER`` in magnitude,
-    below ``MAX_REFINE_DEPTH`` and away from degenerate points, is split in
-    two, and only the fresh halves get overlaps and are looked at on the
-    next level; the others are kept, and are put in walk order by where
-    they start once no segment splits.  A split segment's midpoint is its
-    row of a prefetched subtree: the split segments of a level that have
-    none get theirs, ``_PREFETCH_DEPTH`` levels deep and at most
-    ``_PREFETCH_POINTS`` points, solved in one batch into the table that
-    holds the loop samples.  The walked points, point 0 and each kept
-    segment's end point, are all that reach the result; prefetched points
-    the walk never reached do not.  Whether a segment splits depends on
+    below ``MAX_REFINE_DEPTH`` and away from degenerate end points, is split
+    in two at the point solved at its midpoint's place, and only the fresh
+    halves get overlaps and are looked at on the next level; the others
+    store theirs at their end points.  Split segments with no solved
+    midpoint get their bisection subtrees, ``_PREFETCH_DEPTH`` levels deep
+    and at most ``_PREFETCH_POINTS`` points, solved in one batch into the
+    table of loop samples.  The walk is point 0, then the samples and each
+    split segment's midpoint in place order, so prefetched points it never
+    reached do not reach the result.  Whether a segment splits depends on
     ``|overlap|`` alone, not on the sign carried so far, so this reaches
     exactly the segments of a walk along the loop that bisects each weak
     step as it meets it.  The failure that walk meets first is raised: a
@@ -319,67 +322,52 @@ def berry_phase(
     xs, zs = path.sample_coordinates()
     n = xs.size
     pts = _Points(diag, variant)
-    pts.solve(xs, zs)
+    pts.solve(xs, zs, np.arange(n) << MAX_REFINE_DEPTH)
 
-    # The segments still to look at, as rows of end points, depth, the prefetched
-    # midpoint column (or -1) and where they start along the walk, in units of
-    # the shortest segment; and their overlaps.  A segment that does not
-    # split never will, so it is kept aside as it is.
-    unit = 1 << MAX_REFINE_DEPTH
-    segments = np.zeros((5, n - 1), dtype=np.int64)
-    segments[0], segments[1], segments[3] = np.arange(n - 1), np.arange(1, n), -1
-    segments[4] = segments[0] * unit
+    # The segments still to look at, as the columns of their ends, and their
+    # overlaps.  A segment that does not split never will.  Each overlap is
+    # taken once, in its level's batch: the bits of ``weights @ M`` in a
+    # column can depend on the other columns of ``M``.
+    left, right = np.arange(n - 1), np.arange(1, n)
     overlap = pts.overlap(slice(0, n - 1), slice(1, n))
-    kept, overlaps = [], []
-    while True:
-        degenerate = pts.gap[: pts.size] <= GAP_FLOOR
-        ends = degenerate[segments[0]] | degenerate[segments[1]]
-        split = ~ends & (np.abs(overlap) < REFINE_TRIGGER) & (segments[2] < MAX_REFINE_DEPTH)
+    for depth in range(MAX_REFINE_DEPTH + 1):  # the last level splits nothing
+        ends = (pts.gap[left] <= GAP_FLOOR) | (pts.gap[right] <= GAP_FLOOR)
+        split = ~ends & (np.abs(overlap) < REFINE_TRIGGER) & (depth < MAX_REFINE_DEPTH)
+        pts.overlaps[right[~split]] = overlap[~split]
         if not np.count_nonzero(split):
-            kept.append(segments)
-            overlaps.append(overlap)
             break
-        kept.append(segments.compress(~split, axis=1))
-        overlaps.append(overlap[~split])
-        segments = segments.compress(split, axis=1)
-        left, right, depth, row, _ = segments
-        new = row < 0
+        left, right = left[split], right[split]
+        mid = np.array([pts.column_at.get(p, -1) for p in (0.5 * (pts.place[left] + pts.place[right])).tolist()])
+        new = mid < 0
         if np.count_nonzero(new):
             # As many levels as the cap on points allows, and none below the
             # depth cap; at least the segments' own midpoints.
             fits = (_PREFETCH_POINTS // int(np.count_nonzero(new)) + 1).bit_length() - 1
-            levels = max(1, min(_PREFETCH_DEPTH, MAX_REFINE_DEPTH - int(depth.max()), fits))
+            levels = max(1, min(_PREFETCH_DEPTH, MAX_REFINE_DEPTH - depth, fits))
             axis_tol = np.finfo(np.float64).eps * float(np.max(np.abs(xs)))
-            row[new] = pts.fetch(left[new], right[new], levels, axis_tol)
+            mid[new] = pts.fetch(left[new], right[new], levels, axis_tol)
         # The first halves of the split segments, then their second halves.
-        halves = row.size
-        segments = np.concatenate((segments, segments), axis=1)
-        segments[1, :halves] = segments[0, halves:] = row
-        segments[2] += 1
-        segments[3] = pts.children[row].T.reshape(-1)
-        segments[4, halves:] += unit >> segments[2, halves:]
-        overlap = pts.overlap(segments[0], segments[1])
-    # The kept segments tile the loop; in walk order (the samples' own when none split):
-    left, right, depth = segments[:3]
-    if len(kept) > 1:
-        segments = np.concatenate(kept, axis=1)
-        order = np.argsort(segments[4], kind="stable")  # one sorted run, then a few more
-        left, right, depth = segments[:3].take(order, axis=1)
-        overlap = np.concatenate(overlaps)[order]
+        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
+        overlap = pts.overlap(left, right)
+    if depth:  # the walked points in place order (the samples' own when none split)
+        right = np.flatnonzero(~np.isnan(pts.overlaps[: pts.size]))
+        right = right[np.argsort(pts.place[right])]
+        overlap = pts.overlaps[right]
 
     # The walk meets point 0, then each segment's end point and the segment;
     # a segment leaving a degenerate point follows the one that reaches it.
-    failed = (degenerate[right] | (np.abs(overlap) < OVERLAP_FLOOR)).nonzero()[0]
-    if degenerate[0] or failed.size:
-        i = 0 if degenerate[0] else right[failed[0]]
-        if degenerate[i]:
+    failed = ((pts.gap[right] <= GAP_FLOOR) | (np.abs(overlap) < OVERLAP_FLOOR)).nonzero()[0]
+    if pts.gap[0] <= GAP_FLOOR or failed.size:
+        i = 0 if pts.gap[0] <= GAP_FLOOR else right[failed[0]]
+        if pts.gap[i] <= GAP_FLOOR:
             raise DegenerateOnLoop(
                 f"gap {pts.gap[i]:.3e} at (x={pts.x[i]:.6g}, z={pts.z[i]:.6g}) is below the floor"
             )
         j = failed[0]
+        span = int(pts.place[i] - pts.place[right[j - 1] if j else 0])  # 2**(MAX_REFINE_DEPTH - depth)
         raise RefinementExhausted(
             f"overlap {overlap[j]:.3f} near (x={pts.x[i]:.6g}, z={pts.z[i]:.6g}) "
-            f"still below {OVERLAP_FLOOR} at refinement depth {depth[j]}"
+            f"still below {OVERLAP_FLOOR} at refinement depth {MAX_REFINE_DEPTH + 1 - span.bit_length()}"
         )
 
     # The transported vector at each step is gauge * (the solver's vector); the gauge flips at each negative overlap.

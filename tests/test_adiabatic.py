@@ -126,6 +126,15 @@ def test_points_at_runs_once_around_the_loop_and_clips_outside_it():
     assert np.array_equal(result.final_state, evolve(diag, "unscaled", RECT, schedule).final_state)
 
 
+def test_points_at_ends_exactly_on_the_first_waypoint():
+    # Over nine edges the edges' running sum and their total can round apart.
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        corners = [tuple(corner) for corner in rng.uniform(-2.0, 2.0, size=(9, 2)).tolist()]
+        x, z = LoopPath((*corners, corners[0])).points_at(np.array([0.0, 1.0]))
+        assert x.tolist() == [corners[0][0]] * 2 and z.tolist() == [corners[0][1]] * 2
+
+
 def dense_walk(diag, variant, schedule):
     """Oracle: step the full (2**n + 1)-dim state with one dense eigh per step."""
 

@@ -338,6 +338,21 @@ def test_min_gap_matches_a_dense_scan(variant):
         assert gap <= floor * (1.0 + 1e-9)
 
 
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_an_empty_batch_gives_empty_levels(variant):
+    # Each array has a one-point batch's shape with no points, for every count, at G = 2 and G = 6.
+    for diag in (worst_case_diagonal(3, 0), ViolationDiagonal(np.array([0, 1, 2, 3, 3, 5, 1, 7]))):
+        for count in [*range(1, diag.dimension + 2), None]:
+            empty, one = (lowest_levels(diag, variant, x, x, count) for x in ([], [0.5]))
+            pairs = [(empty.roots, one.roots), (empty.level(0), one.level(0)), *zip(empty.ground(), one.ground()),
+                     (empty.vectors(), one.vectors()), (empty.runs()[0], one.runs()[0])]
+            if count != 1:  # level 1 is an unsolved root
+                pairs.append((empty.gap(), one.gap()))
+            for got, want in pairs:
+                assert got.shape == (0, *want.shape[1:])
+            assert np.array_equal(empty.runs()[1], one.runs()[1])
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_all_levels_match_dense_at_random_points(variant):
     rng = np.random.default_rng(717)

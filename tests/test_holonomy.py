@@ -502,3 +502,46 @@ def test_a_decide_at_n16_takes_a_few_batched_solves(monkeypatch):
         result = berry_phase(worst_case_diagonal(16, solution))
         assert result.refined_points == refined
         assert len(calls) <= (4 if solution is not None else 3), calls
+
+
+# Transport calls to lowest_levels and points solved, per pool entry: 16 A4-style
+# draws at each n, then two n = 16 worst cases.  A change that moves an entry
+# updates it and says why in CHANGES.md.
+_TRANSPORT_SOLVES = {
+    **{(f"cnf n={n}", variant): (16, 5136) for n in range(3, 7) for variant in VARIANTS},
+    ("cnf n=7", "unscaled"): (17, 5199), ("cnf n=7", "z_scaled"): (17, 5199), ("cnf n=7", "x_scaled"): (16, 5136),
+    ("cnf n=8", "unscaled"): (24, 5766), ("cnf n=8", "z_scaled"): (18, 5262), ("cnf n=8", "x_scaled"): (16, 5136),
+    ("wc n=16 sol=12345", "unscaled"): (3, 540), ("wc n=16 sol=12345", "x_scaled"): (2, 447),
+    ("wc n=16 sol=None", "unscaled"): (2, 414), ("wc n=16 sol=None", "x_scaled"): (1, 321),
+}
+
+
+def test_transport_solves_stay_pinned(monkeypatch):
+    real = holonomy.lowest_levels
+    tally = [0, 0]
+
+    def counted(diag, variant, x, z, count):
+        tally[0] += 1
+        tally[1] += x.size
+        return real(diag, variant, x, z, count)
+
+    def solves(diags, variant):
+        tally[:] = [0, 0]
+        for diag in diags:
+            try:
+                berry_phase(diag, variant)
+            except DegenerateOnLoop:
+                pass
+        return tuple(tally)
+
+    monkeypatch.setattr(holonomy, "lowest_levels", counted)
+    got = {}
+    for n in range(3, 9):
+        rng = np.random.default_rng(1000 + n)
+        diags = [violation_diagonal(random_instance(n, int(rng.integers(1, 5 * n + 1)), rng)) for _ in range(16)]
+        for variant in VARIANTS:
+            got[f"cnf n={n}", variant] = solves(diags, variant)
+    for solution in (12345, None):
+        for variant in ("unscaled", "x_scaled"):
+            got[f"wc n=16 sol={solution}", variant] = solves([worst_case_diagonal(16, solution)], variant)
+    assert got == _TRANSPORT_SOLVES
