@@ -59,8 +59,9 @@ class Schedule:
     steps: int = 2000
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.total_time) and self.total_time > 0.0):
-            raise ScheduleInvalid(f"total_time must be positive and finite, got {self.total_time!r}")
+        total = self.total_time
+        if not isinstance(total, numbers.Real) or isinstance(total, bool) or not (math.isfinite(total) and total > 0.0):
+            raise ScheduleInvalid(f"total_time must be positive and finite, got {total!r}")
         if self.speed_profile not in PROFILES:
             raise ScheduleInvalid(f"speed_profile {self.speed_profile!r} not in {PROFILES}")
         if not isinstance(self.steps, numbers.Integral) or self.steps < 100:

@@ -74,7 +74,11 @@ def _parse_source(spec: str) -> ViolationDiagonal:
     path = Path(spec)
     if not path.is_file():
         raise UsageError(f"no such instance file: {spec}")
-    return violation_diagonal(parse_dimacs(path.read_text()))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read instance file {spec}: {exc}") from exc
+    return violation_diagonal(parse_dimacs(text))
 
 
 def _parse_range(text: str) -> tuple[float, float]:

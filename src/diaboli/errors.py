@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
-Every error raised by library code derives from :class:`DiaboliError` so
-callers (and the CLI) can catch one base class.
+Bad input and numerical failures raise a :class:`DiaboliError`, so callers
+(and the CLI) can catch one base class.  Bad arguments to library calls
+raise ``ValueError`` (``ArrowheadHamiltonian``, ``ParameterPoint``,
+``sector``, ``LoopPath``, ``lowest_levels``, ``min_gap_on_segment``,
+``solve``, the logs) or ``IndexError`` (``Levels.level``); no CLI path
+reaches them.
 """
 
 from __future__ import annotations

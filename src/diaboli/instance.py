@@ -6,10 +6,11 @@ with 0 meaning false.  The violation diagonal lists, for every assignment
 in that order, how many clauses the assignment violates.  An instance is
 soluble exactly when some entry is zero.
 
-Every solver reads a diagonal only through its histogram of counts and its
-dimension.  A worst-case diagonal carries that histogram in closed form and
-builds its ``2**n`` entries only when they are read; a CNF diagonal is one
-integer product of two tables over the top and bottom halves of the bits.
+Every solver reads a diagonal only through its histogram of counts, as do
+its dimension and solubility.  A worst-case diagonal carries that histogram
+in closed form and builds its ``2**n`` entries only when they are read; a
+CNF diagonal is one integer product of two tables over the top and bottom
+halves of the bits.
 """
 
 from __future__ import annotations
@@ -52,32 +53,29 @@ class CnfInstance:
             raise MalformedHeader(f"variable count must be a positive integer, got {self.n_vars!r}")
         if self.n_vars > MAX_VARS:
             raise MalformedHeader(f"at most {MAX_VARS} variables supported, got {self.n_vars}")
-        object.__setattr__(self, "n_vars", int(self.n_vars))
+        n_vars = int(self.n_vars)
+        object.__setattr__(self, "n_vars", n_vars)
         clauses = tuple(tuple(int(lit) for lit in clause) for clause in self.clauses)
         if not clauses:
             raise ClauseCountMismatch("an instance needs at least one clause")
         for clause in clauses:
-            _check_clause(clause, self.n_vars)
+            if len(clause) != 3:
+                raise ClauseArityError(f"clause {clause} has {len(clause)} literals, want 3")
+            seen = set()
+            for lit in clause:
+                if lit == 0:
+                    raise VariableOutOfRange("literal 0 is reserved as the clause terminator")
+                var = abs(lit)
+                if var > n_vars:
+                    raise VariableOutOfRange(f"variable {var} exceeds declared count {n_vars}")
+                if var in seen:
+                    raise DuplicateVariableInClause(f"variable {var} repeats in clause {clause}")
+                seen.add(var)
         object.__setattr__(self, "clauses", clauses)
 
     @property
     def n_clauses(self) -> int:
         return len(self.clauses)
-
-
-def _check_clause(clause: tuple[int, ...], n_vars: int) -> None:
-    if len(clause) != 3:
-        raise ClauseArityError(f"clause {clause} has {len(clause)} literals, want 3")
-    seen = set()
-    for lit in clause:
-        if lit == 0:
-            raise VariableOutOfRange("literal 0 is reserved as the clause terminator")
-        var = abs(lit)
-        if var > n_vars:
-            raise VariableOutOfRange(f"variable {var} exceeds declared count {n_vars}")
-        if var in seen:
-            raise DuplicateVariableInClause(f"variable {var} repeats in clause {clause}")
-        seen.add(var)
 
 
 class Histogram(NamedTuple):
@@ -90,16 +88,15 @@ class Histogram(NamedTuple):
     counts: np.ndarray  # multiplicities k_g
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ViolationDiagonal:
     """Per-assignment clause-violation counts.
 
-    ``n_vars`` is set when the diagonal covers a full assignment space of
-    size ``2**n_vars``; restrictions to arbitrary subspaces leave it None.
+    The histogram answers the rest: ``dimension`` and ``soluble``, and
+    ``n_vars``, None unless the dimension is a power of two.
     """
 
     entries: np.ndarray
-    n_vars: int | None = None
 
     def __post_init__(self) -> None:
         try:
@@ -118,20 +115,23 @@ class ViolationDiagonal:
             raise IndexOutOfRange("violation counts cannot be negative")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        n = self.n_vars
-        if n is None and arr.size & (arr.size - 1) == 0:
-            n = int(arr.size).bit_length() - 1
-        if n is not None and (not isinstance(n, numbers.Integral) or isinstance(n, bool) or 2**n != arr.size):
-            raise IndexOutOfRange(f"n_vars={n!r} is not the integer log2 of {arr.size} entries")
-        object.__setattr__(self, "n_vars", None if n is None else int(n))
+
+    def __repr__(self) -> str:
+        values, counts = self.histogram
+        return f"ViolationDiagonal(dimension={self.dimension}, values={values.tolist()}, counts={counts.tolist()})"
+
+    @cached_property
+    def dimension(self) -> int:
+        return int(self.histogram.counts.sum())
 
     @property
-    def dimension(self) -> int:
-        return int(self.entries.size)
+    def n_vars(self) -> int | None:
+        size = self.dimension
+        return size.bit_length() - 1 if size & (size - 1) == 0 else None
 
     @property
     def soluble(self) -> bool:
-        return bool(np.any(self.entries == 0))
+        return bool(self.histogram.values[0] == 0)
 
     @property
     def solutions(self) -> list[int]:
@@ -163,30 +163,20 @@ def _read_only(hist: Histogram) -> Histogram:
 
 
 class _WorstCase(ViolationDiagonal):
-    """``worst_case_diagonal``: answers from ``n`` and the planted index, entries built on first read."""
+    """``worst_case_diagonal``: the histogram in closed form from ``n`` and the planted index, entries on first read."""
 
     def __init__(self, n: int, solution_index: int | None) -> None:
-        object.__setattr__(self, "n_vars", n)
+        object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_solution", solution_index)
 
     @cached_property
     def entries(self) -> np.ndarray:
-        return _worst_case_entries(self.n_vars, self._solution)
-
-    @property
-    def dimension(self) -> int:
-        return 1 << self.n_vars
-
-    @property
-    def soluble(self) -> bool:
-        return self._solution is not None
+        return _worst_case_entries(self._n, self._solution)
 
     @cached_property
     def histogram(self) -> Histogram:
-        if self._solution is None:
-            values, counts = [1], [self.dimension]
-        else:
-            values, counts = [0, 1], [1, self.dimension - 1]
+        size = 1 << self._n
+        values, counts = ([1], [size]) if self._solution is None else ([0, 1], [1, size - 1])
         return _read_only(Histogram(np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64)))
 
 
@@ -230,7 +220,7 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise MalformedHeader("no 'p cnf' header found")
     n_vars, n_clauses = header
 
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for tok in tokens:
         try:
@@ -238,17 +228,16 @@ def parse_dimacs(text: str) -> CnfInstance:
         except ValueError as exc:
             raise MalformedHeader(f"non-integer token {tok!r} in clause data") from exc
         if lit == 0:
-            if len(current) != 3:
-                raise ClauseArityError(f"clause {tuple(current)} has {len(current)} literals, want 3")
-            clauses.append((current[0], current[1], current[2]))
+            clauses.append(tuple(current))
             current = []
         else:
             current.append(lit)
     if current:
         raise ClauseArityError(f"trailing literals without terminating 0: {tuple(current)}")
-    if len(clauses) != n_clauses:
-        raise ClauseCountMismatch(f"header declares {n_clauses} clauses, body has {len(clauses)}")
-    return CnfInstance(n_vars=n_vars, clauses=tuple(clauses))
+    inst = CnfInstance(n_vars=n_vars, clauses=tuple(clauses))
+    if inst.n_clauses != n_clauses:
+        raise ClauseCountMismatch(f"header declares {n_clauses} clauses, body has {inst.n_clauses}")
+    return inst
 
 
 def render_dimacs(inst: CnfInstance) -> str:
@@ -306,7 +295,7 @@ def violation_diagonal(inst: CnfInstance) -> ViolationDiagonal:
     chunks = [all_false[start : start + _CLAUSE_CHUNK] for start in range(0, inst.n_clauses, _CLAUSE_CHUNK)]
     parts = [np.einsum("ch,cl->hl", chunk[:, :top], chunk[:, top:]) for chunk in chunks]
     counts = parts[0] if len(parts) == 1 else np.sum(parts, axis=0, dtype=np.int64)
-    return ViolationDiagonal(entries=counts.reshape(-1), n_vars=n)  # cast to int64 there
+    return ViolationDiagonal(entries=counts.reshape(-1))  # cast to int64 there
 
 
 def worst_case_diagonal(n: int, solution_index: int | None = None) -> ViolationDiagonal:

@@ -71,7 +71,7 @@ def solve(diag: ViolationDiagonal, variant: str = "unscaled", oracle: Oracle | N
     """Find a satisfying assignment index, or report insolubility."""
 
     size = diag.dimension
-    if size & (size - 1) != 0:
+    if diag.n_vars is None:
         raise ValueError(f"bisection needs a power-of-two space, got {size} entries")
     if oracle is None:
         def oracle(restricted: ViolationDiagonal) -> bool:

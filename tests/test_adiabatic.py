@@ -43,6 +43,9 @@ def test_schedule_validation():
         Schedule(total_time=10.0, speed_profile="linear")
     with pytest.raises(ScheduleInvalid):
         Schedule(total_time=10.0, steps=np.int64(99))
+    for total_time in ("1e3", None, True, 1j):
+        with pytest.raises(ScheduleInvalid):
+            Schedule(total_time=total_time)
     steps = Schedule(total_time=1.0, steps=np.int64(200)).steps
     assert steps == 200 and type(steps) is int
 

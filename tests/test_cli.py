@@ -235,6 +235,17 @@ def test_bad_numbers_are_usage_errors(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
 
 
+def test_unreadable_instance_files_are_usage_errors(tmp_path, capsys):
+    undecodable = tmp_path / "bad.cnf"
+    undecodable.write_bytes(b"p cnf 3 1\n1 2 \xff 0\n")
+    for source in (undecodable, tmp_path / "missing.cnf"):
+        assert main(["berry", str(source)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ") and str(source) in lines[0]
+
+
 def test_berry_json_and_transport_log(tmp_path, capsys):
     log = tmp_path / "transport.csv"
     code, out = run_cli(capsys, "berry", "wc:n=3,sol=5", "--transport-csv", str(log))

@@ -263,7 +263,7 @@ def test_gap_is_open_off_origin():
 def test_min_gap_finds_interior_minimum_of_toy_matrix():
     # single-entry diagonal at z=-0.8: H = [[-0.2, x], [x, 0.2]], so
     # gap(x) = 2*sqrt(0.04 + x^2) with its minimum 0.4 at x = 0
-    diag = ViolationDiagonal(np.array([0]), n_vars=0)
+    diag = ViolationDiagonal(np.array([0]))
     point, gap = min_gap_on_segment(diag, "unscaled", "x", fixed=-0.8, lo=-0.1, hi=0.1)
     assert abs(point.x) <= 1e-6
     assert gap == pytest.approx(0.4, abs=1e-9)

@@ -117,6 +117,15 @@ def test_parse_rejects_clause_count_mismatch():
         parse_dimacs("p cnf 3 1\n1 2 3 0\n-1 -2 -3 0\n")
 
 
+def test_parse_reports_a_clause_fault_before_a_count_mismatch():
+    with pytest.raises(VariableOutOfRange):
+        parse_dimacs("p cnf 3 2\n1 2 4 0\n")
+    with pytest.raises(DuplicateVariableInClause):
+        parse_dimacs("p cnf 3 1\n1 -1 2 0\n1 2 3 0\n")
+    with pytest.raises(ClauseArityError, match="has 4 literals"):
+        parse_dimacs("p cnf 4 2\n1 2 3 4 0\n")
+
+
 def test_render_parse_round_trip():
     inst = parse_dimacs(SMALL)
     again = parse_dimacs(render_dimacs(inst))
@@ -279,6 +288,8 @@ def test_worst_case_histogram_needs_no_entries(monkeypatch):
     small = worst_case_diagonal(5, 3)
     assert berry_phase(planted).holonomy_sign == -1 and berry_phase(insoluble).holonomy_sign == 1
     assert planted.dimension == 2**16 and planted.n_vars == 16
+    assert repr(planted) == "ViolationDiagonal(dimension=65536, values=[0, 1], counts=[1, 65535])"
+    assert repr(insoluble) == "ViolationDiagonal(dimension=65536, values=[1], counts=[65536])"
     assert planted.soluble and not insoluble.soluble
     assert brute_force_oracle(planted) and not brute_force_oracle(insoluble)
     xs, zs = LoopPath.default_rectangle().sample_coordinates()
@@ -307,12 +318,9 @@ def test_worst_case_histogram_needs_no_entries(monkeypatch):
 
 
 def test_diagonal_infers_n_vars_only_for_power_of_two():
-    assert ViolationDiagonal(np.array([0, 1, 1, 1])).n_vars == 2
+    four = ViolationDiagonal(np.array([0, 1, 1, 1]))
+    assert four.n_vars == 2 and type(four.n_vars) is int
     assert ViolationDiagonal(np.array([0, 1, 1])).n_vars is None
-    for entries, n_vars in (([0, 1, 2], 2), ([0, 1], True), ([0, 1, 1, 1], 2.0)):
-        with pytest.raises(IndexOutOfRange):
-            ViolationDiagonal(np.array(entries), n_vars=n_vars)
-    assert type(ViolationDiagonal(np.array([0, 1, 1, 1]), n_vars=np.int64(2)).n_vars) is int
     with pytest.raises(IndexOutOfRange):
         ViolationDiagonal(np.array([-1, 0]))
     for fractional in ([0.5, 1.7], [0.0, np.nan], [1.0, np.inf]):

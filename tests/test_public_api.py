@@ -32,12 +32,26 @@ def test_removed_names_are_gone():
         assert not hasattr(diaboli.eigensolver, name), name
     with pytest.raises(TypeError):
         diaboli.lowest_levels(diaboli.worst_case_diagonal(3, 5), "unscaled", 0.5, -1.0, _roots=1)
+    with pytest.raises(TypeError):
+        diaboli.ViolationDiagonal([0, 1, 1, 1], n_vars=2)
 
 
 def test_only_hamiltonian_decides_the_variant_scaling():
     package = Path(diaboli.__file__).parent
     users = sorted(p.name for p in package.glob("*.py") if "variant_scales" in p.read_text())
     assert users == ["hamiltonian.py"]
+
+
+def test_only_the_dense_layers_read_entries():
+    # Everything else reads the histogram: the dense operator and restriction,
+    # search's last check and the final state spread over the assignments.
+    package = Path(diaboli.__file__).parent
+    readers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr == "entries" for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert readers == ["adiabatic.py", "hamiltonian.py", "instance.py", "search.py"]
 
 
 def tracer_targets() -> set[tuple[str, str]]:
