@@ -51,7 +51,10 @@ def _parse_source(spec: str) -> ViolationDiagonal:
             if "=" not in chunk:
                 raise UsageError(f"bad worst-case field {chunk!r}; want wc:n=<vars>,sol=<index|none>")
             key, _, value = chunk.partition("=")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:
+                raise UsageError(f"worst-case field {key!r} given more than once")
+            fields[key] = value.strip()
         if "n" not in fields:
             raise UsageError("worst-case source needs n=<vars>")
         try:

@@ -267,54 +267,43 @@ def _leftmost_roots(
     strictly inside.  Callers turn numpy's warnings off.
     """
 
-    points, g = b2.size, poles.size
-    rows, by_root = points * count, (count, points)
+    g = poles.size
     j = np.arange(count)
     near_left, near_right = np.maximum(j - 1, 0), np.minimum(j, g - 1)
     left_pole, right_pole = poles[near_left][:, None], poles[near_right][:, None]
-    origin_left = left_pole.copy()
-    if poles[0] > 0.0:
-        origin_left[0] = 0.0  # the leftmost root keeps origin 0 when it lies nearer 0 than poles[0]
-    # The rows' constants, stacked so that one compress drops finished rows.  Rows are root-major,
-    # so that neighbouring rows are neighbouring points and take the same branches.
-    state = np.empty((2 * g + 4, rows))
-    shifted, weight, (level, near_pole, near_weight, spread) = state[:g], state[g : 2 * g], state[2 * g :]
-    np.multiply(k[:, None, None], b2, out=weight.reshape((g,) + by_root))
-    np.sqrt(size * b2, out=spread.reshape(by_root))  # sqrt(size * b2), which bounds the far terms
-    total = spread[:points] + 1.0
-    low, high = np.repeat(left_pole, points, axis=1), np.repeat(right_pole, points, axis=1)
-    low[0] = np.minimum(poles[0], head) - total
-    if count > g:
-        high[g] = np.maximum(poles[-1], head) + total
+    # The state is a grid of roots by points, (count, points), and the pole terms add a leading G
+    # axis.  What depends on the point alone, the pole weights and sqrt(size * b2), which bounds the
+    # far terms, is held once per point and broadcast across the roots.
+    weight, spread = k[:, None, None] * b2, np.sqrt(size * b2)
 
-    # A row starts at its model root, and its origin is the bracket pole nearer that start; a
-    # start not strictly inside its bracket (one rounded onto a pole at a tiny coupling, or a model
-    # that overflows) takes the bracket's middle.
+    # A root starts at its model root, and its origin is the bracket pole nearer that start.  The
+    # near pole's own term is kept apart, so the rest of the sum never cancels against it; a leftmost
+    # root kept at origin 0 (nearer 0 than poles[0]) has its near pole at inf, of weight 0, and every
+    # pole in its sums.
     right, tau = _model_start(poles, k, size, b2, head, count)
-    origin = np.where(right, right_pole, origin_left)
-    lo, hi = low - origin, high - origin
-    placed = (lo < tau) & (tau < hi)
-    if np.count_nonzero(placed) < rows:
-        tau = np.where(placed, tau, 0.5 * (lo + hi))
-    lo, hi, tau = lo.reshape(-1), hi.reshape(-1), tau.reshape(-1)
-    # The shifted poles are exact pole differences.  The near pole's own term is kept
-    # apart, so the rest of the sum never cancels against it; a leftmost root kept at
-    # origin 0 has its near pole at inf, of weight 0, and every term in its sums.
-    np.subtract(poles[:, None, None], origin, out=shifted.reshape((g,) + by_root))
-    np.subtract(head, origin, out=level.reshape(by_root))
-    np.multiply(np.where(right, k[near_right][:, None], k[near_left][:, None]), b2, out=near_weight.reshape(by_root))
-    near_pole[:] = 0.0
+    origin = np.where(right, right_pole, left_pole)
+    near_pole, near_weight = np.zeros_like(tau), np.where(right, k[near_right][:, None], k[near_left][:, None]) * b2
     if poles[0] > 0.0:
-        near_pole[:points][~right[0]], near_weight[:points][~right[0]] = np.inf, 0.0
-    # Distinct poles meet a row's origin only at its near pole, whose difference is an exact 0.
-    near = shifted == 0.0
-    np.copyto(shifted, np.inf, where=near)
+        origin[0, ~right[0]], near_pole[0, ~right[0]], near_weight[0, ~right[0]] = 0.0, np.inf, 0.0
+    # A start not strictly inside its bracket (one rounded onto a pole at a tiny coupling, or a
+    # model that overflows) takes the bracket's middle.
+    lo, hi = left_pole - origin, right_pole - origin
+    lo[0] = (np.minimum(poles[0], head) - (spread + 1.0)) - origin[0]
+    if count > g:
+        hi[g] = (np.maximum(poles[-1], head) + (spread + 1.0)) - origin[g]
+    placed = (lo < tau) & (tau < hi)
+    if np.count_nonzero(placed) < placed.size:
+        tau = np.where(placed, tau, 0.5 * (lo + hi))
+    # The shifted poles are exact pole differences.  Distinct poles meet a root's origin only at its
+    # near pole, whose difference is an exact 0 and whose term is kept apart.
+    shifted, level = poles[:, None, None] - origin, head - origin
+    shifted[shifted == 0.0] = np.inf
     # f's rounding error is within eps * ((G + 3) * (sum |far terms| + |rest|) + 5 * slope * |tau|):
     # dlaed4's kind of bound, (G + 2) * sum |terms| + |level| + |tau| * (1 + 3 * slope), read with
     # |near term| <= |rest| + |f| and |level| <= |rest| + |tau| + sum |far terms|.  By Cauchy-Schwarz,
     # sum |far terms| <= sqrt(size * b2) * sqrt(curve), taken as that product so that it does not overflow.
     ulps = _EPS * (g + 3)
-    offset, work, closed = np.empty(rows), np.arange(rows), 0  # closed: how many finished rows' brackets have closed
+    closed = 0  # how many finished roots' brackets have closed
     for _ in range(_STEP_BUDGET):
         dist = shifted - tau
         terms = weight / dist
@@ -366,22 +355,14 @@ def _leftmost_roots(
         done = np.count_nonzero(finished)
         if done == finished.size:
             break
-        if done > closed:  # a finished root's bracket closes on it, which holds it there
+        if done > closed:  # a finished root stays in the grid, held where it ended by its closed bracket
             lo, hi, closed = np.where(finished, tau, lo), np.where(finished, tau, hi), done
-        if finished.size - done < finished.size // 2:
-            # compress keeps (G, rows) arrays row-major, where a[..., active] would
-            # turn them column-major and make numpy sum each column pairwise.
-            offset[work[finished]] = tau[finished]
-            active, closed = ~finished, 0
-            state, work, tau, lo, hi = (np.compress(active, a, axis=-1) for a in (state, work, tau, lo, hi))
-            shifted, weight, (level, near_pole, near_weight, spread) = state[:g], state[g : 2 * g], state[2 * g :]
     else:
         missed = finished.size - np.count_nonzero(finished)
         raise ConvergenceFailure(f"{missed} secular root(s) missed tolerance after {_STEP_BUDGET} steps")
-    offset[work] = tau
-    if np.count_nonzero(np.isfinite(offset)) < rows:
+    if np.count_nonzero(np.isfinite(tau)) < tau.size:
         raise ConvergenceFailure("secular root search produced non-finite values")
-    return origin, offset.reshape(count, points)
+    return origin, tau
 
 
 def _sector_roots(sec: Sector, head: np.ndarray, count: int) -> tuple:

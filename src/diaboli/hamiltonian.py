@@ -11,7 +11,10 @@ the opposite bias, so the two sectors cross as ``z`` changes sign:
 
 ``N`` is the body dimension of the diagonal being built, so restricted
 subproblems scale by their own size.  ``sector`` gives the same operators
-at a batch of points in histogram form; only this module scales variants.
+at a batch of points in histogram form; only this module scales variants,
+with one exception: ``perturbation.second_order`` takes the squared
+``x_scaled`` border scale as ``1/N`` itself, which ``(1/sqrt(N))**2``
+misses by a rounding at every odd ``n``.
 """
 
 from __future__ import annotations

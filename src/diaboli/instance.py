@@ -16,6 +16,7 @@ halves of the bits.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
@@ -55,7 +56,7 @@ class CnfInstance:
             raise MalformedHeader(f"at most {MAX_VARS} variables supported, got {self.n_vars}")
         n_vars = int(self.n_vars)
         object.__setattr__(self, "n_vars", n_vars)
-        clauses = tuple(tuple(int(lit) for lit in clause) for clause in self.clauses)
+        clauses = tuple(map(tuple, self.clauses))
         if not clauses:
             raise ClauseCountMismatch("an instance needs at least one clause")
         for clause in clauses:
@@ -63,6 +64,8 @@ class CnfInstance:
                 raise ClauseArityError(f"clause {clause} has {len(clause)} literals, want 3")
             seen = set()
             for lit in clause:
+                if type(lit) is not int and (type(lit) is bool or not hasattr(lit, "__index__")):
+                    raise VariableOutOfRange(f"literal {lit!r} in clause {clause} is not an integer")
                 if lit == 0:
                     raise VariableOutOfRange("literal 0 is reserved as the clause terminator")
                 var = abs(lit)
@@ -71,7 +74,7 @@ class CnfInstance:
                 if var in seen:
                     raise DuplicateVariableInClause(f"variable {var} repeats in clause {clause}")
                 seen.add(var)
-        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "clauses", tuple(tuple(map(operator.index, clause)) for clause in clauses))
 
     @property
     def n_clauses(self) -> int:

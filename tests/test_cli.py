@@ -306,6 +306,10 @@ def test_usage_errors_exit_one(capsys):
     assert main(["berry", "wc:n=3,scale=2"]) == 1
     for source in ("wc:n=3,sol", "wc:sol=1", "wc:n=three", "wc:n=3,sol=first"):
         assert main(["berry", source]) == 1, source
+    capsys.readouterr()
+    for source, key in (("wc:n=3,n=4", "n"), ("wc:n=3,sol=1,sol=2", "sol")):  # a repeat overrides nothing
+        assert main(["berry", source]) == 1, source
+        assert capsys.readouterr().err.splitlines() == [f"usage error: worst-case field '{key}' given more than once"]
     assert main(["berry", "/nonexistent/file.cnf"]) == 1
     assert main(["spectrum", "wc:n=3,sol=0", "--sweep", "x",
                  "--fixed", "0", "--range", "0to1"]) == 1

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -356,6 +357,13 @@ def test_clause_validation_on_direct_construction():
         CnfInstance(n_vars=3, clauses=())
     inst = CnfInstance(n_vars=np.int64(3), clauses=((1, 2, 3),))
     assert inst == CnfInstance(n_vars=3, clauses=((1, 2, 3),)) and type(inst.n_vars) is int
+    # A literal is an integer: no float is truncated, no string or bool converted.
+    for clause in ((1.7, 2, -3.9), ("1", 2, 3), (True, 2, 3), (np.True_, 2, 3), (1, np.float64(2.0), 3)):
+        bad = next(lit for lit in clause if type(lit) is not int)
+        with pytest.raises(VariableOutOfRange, match=f"literal {re.escape(repr(bad))} "):
+            CnfInstance(n_vars=3, clauses=(clause,))
+    inst = CnfInstance(n_vars=3, clauses=((np.int64(1), np.int32(-2), 3),))
+    assert inst.clauses == ((1, -2, 3),) and {type(lit) for lit in inst.clauses[0]} == {int}
 
 
 def test_random_instance_needs_three_variables():
