@@ -14,9 +14,9 @@ group-uniform states and the head.  The whole spectrum at the step
 midpoints is solved a chunk at a time by ``lowest_levels``: its roots are
 the sector's levels, its ``level(1) - level(0)`` gives the ``gap_adaptive``
 gaps, and ``Levels.vectors`` gives the sector's eigenvectors in closed form
-from the same solve.  Small sectors propagate in blocks of step unitaries,
-taken as real matrices on the state's real and imaginary parts; larger
-ones step through each midpoint eigenbasis.  The final state is
+from the same solve.  Sectors up to ``G + 1 = 16`` propagate in blocks of
+complex step unitaries ``v diag(exp(-1j * E dt)) v.T``; above that each
+step goes through its midpoint eigenbasis instead.  The final state is
 spread over the ``2**n`` entries at the end, so the cost is set by ``G``,
 not ``2**n``.
 
@@ -46,7 +46,9 @@ from .instance import ViolationDiagonal
 PROFILES = ("uniform", "gap_adaptive")
 NORM_TOLERANCE = 1e-6
 _BATCH_ENTRIES = 1 << 16  # secular working set per chunk of midpoints: steps x (G + 1) roots x G poles
-_SMALL_SECTOR = 8  # largest G + 1 whose (G+1)**3 unitary per step costs less than the calls blocks save
+# Largest G + 1 whose blocked (G+1)**3 unitaries beat the eigenbasis loop: whole
+# traversals take 0.87-0.99x its time at G + 1 = 13..16 and 1.05-1.08x at 17..18.
+_SMALL_SECTOR = 16
 _MIN_SPEED_FRACTION = 0.05  # gap_adaptive speed floor, relative to the mean speed
 
 
@@ -106,22 +108,6 @@ def _step_durations(gaps: np.ndarray | None, schedule: Schedule) -> np.ndarray:
     return durations * (schedule.total_time / float(durations.sum()))
 
 
-def _real_unitaries(v: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Each step's unitary ``v diag(exp(-1j * angles)) v.T`` as a real matrix on interleaved states.
-
-    A complex state ``psi`` read as floats is ``(Re psi[0], Im psi[0], ...)``;
-    on it the unitary ``u`` acts by the real matrix whose rows ``2i`` and
-    ``2i + 1`` are ``conj(u[i])`` and ``1j * conj(u[i])`` read as floats.
-    Real products of these cost a fraction of complex ones.
-    """
-
-    steps, dim = angles.shape
-    rows = np.empty((steps, dim, 2, dim), dtype=np.complex128)
-    rows[:, :, 0] = np.einsum("pij,pj,pkj->pik", v, np.exp(1j * angles), v)
-    np.multiply(rows[:, :, 0], 1j, out=rows[:, :, 1])
-    return rows.view(np.float64).reshape(steps, 2 * dim, 2 * dim)
-
-
 def _propagate(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``u[j] @ ... @ u[0] @ psi`` to ``out[j]`` for every step ``j``; return the last state.
 
@@ -178,13 +164,13 @@ def evolve(
     states[0] = grounds[0]
     for start, levels in zip(starts, solves):
         v = levels.vectors()
-        angles = levels.roots * durations[start : start + chunk, None]
-        if dim <= _SMALL_SECTOR:  # in real arithmetic, on the states read as floats
-            floats = states[start : start + chunk + 1].view(np.float64)
-            _propagate(_real_unitaries(v, angles), floats[0], floats[1:])
+        phases = np.exp(-1j * levels.roots * durations[start : start + chunk, None])
+        if dim <= _SMALL_SECTOR:  # each step's unitary v diag(phases) v.T, applied in blocks
+            u = (v * phases[:, None, :]) @ np.swapaxes(v, 1, 2)
+            _propagate(u, states[start], states[start + 1 : start + chunk + 1])
         else:  # no (G+1)**3 unitary per step: each step goes through its eigenbasis and back
             psi = states[start]
-            for j, (basis, phase) in enumerate(zip(v, np.exp(-1j * angles)), start + 1):
+            for j, (basis, phase) in enumerate(zip(v, phases), start + 1):
                 psi = states[j] = basis @ (phase * (psi @ basis))
     psi = states[-1]
 

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -40,6 +41,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # A token that starts "-<digit>" or "-.<digit>" is a value, never a flag:
+        # argparse's own matcher takes "-1:1", "-1e-3" and "-1." for flags.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         raise UsageError(message)
 

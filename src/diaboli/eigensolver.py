@@ -534,8 +534,10 @@ def lowest_levels(
     (``x = 0``) the levels are the sorted diagonal.
     """
 
-    if count is not None and count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    if count is not None and (
+        type(count) is not int and (isinstance(count, bool) or not isinstance(count, numbers.Integral)) or count < 1
+    ):
+        raise ValueError(f"count must be at least 1 and a non-bool integer, got {count!r}")
     sec = sector(diag, variant, x, z)
     starts = [0, *itertools.accumulate(sec.counts.tolist())]  # the index of each root in the spectrum
     solved = len(starts) if count is None else bisect.bisect_left(starts, count)

@@ -333,9 +333,9 @@ def random_instance(n_vars: int, n_clauses: int, rng: np.random.Generator | int)
 
     if not isinstance(n_vars, numbers.Integral) or n_vars < 3:
         raise MalformedHeader(f"a 3-SAT clause needs at least 3 variables, got {n_vars!r}")
-    if not isinstance(n_clauses, numbers.Integral) or n_clauses < 1:
+    if not isinstance(n_clauses, numbers.Integral) or isinstance(n_clauses, bool) or n_clauses < 1:
         raise ClauseCountMismatch(f"an instance needs a positive integer clause count, got {n_clauses!r}")
-    if isinstance(rng, numbers.Integral) and rng >= 0:
+    if isinstance(rng, numbers.Integral) and not isinstance(rng, bool) and rng >= 0:
         rng = np.random.default_rng(int(rng))
     elif not isinstance(rng, np.random.Generator):
         raise MalformedHeader(f"rng must be a non-negative integer seed or a numpy Generator, got {rng!r}")

@@ -257,32 +257,52 @@ def sector_loop(diag, variant, schedule):
 
 
 def sector_diagonals():
-    """Planted and insoluble worst cases (k_0 = 1, 8), several zeros (k_0 = 3), a random CNF with G = 11."""
+    """Planted and insoluble worst cases (k_0 = 1, 8), several zeros (k_0 = 3), random CNFs with G = 11 and 16."""
 
     return (
         worst_case_diagonal(3, 5),
         worst_case_diagonal(3, None),
         ViolationDiagonal(np.array([0, 2, 0, 1, 3, 0, 1, 2])),
         violation_diagonal(random_instance(6, 40, 0)),
+        violation_diagonal(random_instance(7, 56, 0)),
     )
 
 
 @pytest.mark.parametrize("steps", [100, 101, 2003])
 @pytest.mark.parametrize("profile", ["uniform", "gap_adaptive"])
-def test_blocked_evolution_matches_the_step_loop(profile, steps):
+def test_blocked_evolution_matches_the_step_loop(monkeypatch, profile, steps):
     # Odd step counts put a midpoint on x = 0, where the sector is diagonal.
-    # G + 1 = 12 exceeds _SMALL_SECTOR, so the eigenbasis step loop runs too;
-    # at 2003 steps it spans five chunks.
+    # Every sector runs both through the eigenbasis step loop and in blocks,
+    # so both paths stay under the oracle wherever _SMALL_SECTOR sits.  At
+    # 2003 steps the G = 11 and 16 CNFs span five and nine chunks.
     schedule = Schedule(200.0, profile, steps=steps)
     for variant in VARIANTS:
         for diag in sector_diagonals():
-            result = evolve(diag, variant, RECT, schedule, collect_log=True)
             final, fidelities, dynamical, total = sector_loop(diag, variant, schedule)
-            np.testing.assert_allclose(result.final_state, final, rtol=0, atol=1e-11)
-            np.testing.assert_allclose([row.fidelity for row in result.log], fidelities, rtol=0, atol=1e-11)
-            assert result.ground_fidelity == pytest.approx(fidelities[-1], abs=1e-11)
-            assert result.dynamical_phase == pytest.approx(dynamical, abs=1e-11)
-            assert circular_distance(result.total_phase, total) < 1e-11
+            for small_sector in (0, 1 << 10):  # every step through its eigenbasis, then every chunk in blocks
+                monkeypatch.setattr(adiabatic, "_SMALL_SECTOR", small_sector)
+                result = evolve(diag, variant, RECT, schedule, collect_log=True)
+                np.testing.assert_allclose(result.final_state, final, rtol=0, atol=1e-11)
+                np.testing.assert_allclose([row.fidelity for row in result.log], fidelities, rtol=0, atol=1e-11)
+                assert result.ground_fidelity == pytest.approx(fidelities[-1], abs=1e-11)
+                assert result.dynamical_phase == pytest.approx(dynamical, abs=1e-11)
+                assert circular_distance(result.total_phase, total) < 1e-11
+
+
+def test_propagate_matches_the_sequential_product():
+    rng = np.random.default_rng(29)
+    for steps in range(1, 51):
+        raw = rng.normal(size=(steps, 5, 5)) + 1j * rng.normal(size=(steps, 5, 5))
+        u = np.linalg.qr(raw)[0]
+        psi = rng.normal(size=5) + 1j * rng.normal(size=5)
+        psi /= np.linalg.norm(psi)
+        expected = [psi]
+        for step in u:
+            expected.append(step @ expected[-1])
+        out = np.empty((steps, 5), dtype=np.complex128)
+        last = adiabatic._propagate(u.copy(), psi, out)
+        np.testing.assert_allclose(out, expected[1:], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(last, expected[-1], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("profile", ["uniform", "gap_adaptive"])

@@ -316,6 +316,25 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["spectrum", "wc:n=3,sol=0", "--sweep", "z", "--fixed", "0.5", "--range", "-1:1", "--samples", "3"], "--range"),
+        (["spectrum", "wc:n=3,sol=0", "--sweep", "x", "--fixed", "-1e-3", "--range", "0:0.2", "--samples", "3"], "--fixed"),
+        (["predict-gap", "wc:n=3,sol=0", "--z", "-1e-3"], "--z"),
+        (["predict-gap", "wc:n=3,sol=0", "--z", "-1."], "--z"),
+    ],
+    ids=["range", "fixed-exponent", "z-exponent", "z-trailing-dot"],
+)
+def test_negative_values_need_no_equals_form(capsys, argv, flag):
+    # argparse's own matcher reads none of "-1:1", "-1e-3" and "-1." as a number.
+    i = argv.index(flag)
+    joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2 :]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *joined) == (0, out)
+
+
 def test_domain_errors_exit_two(capsys):
     assert main(["predict-gap", "wc:n=4,sol=0", "--z", "0"]) == 2
     assert main(["berry", "wc:n=3,sol=99"]) == 2

@@ -380,6 +380,17 @@ def test_all_levels_match_dense_at_random_points(variant):
             lowest_levels(diag, variant, xs, zs, 0)
 
 
+def test_lowest_levels_takes_only_integer_counts():
+    diag = worst_case_diagonal(3, None)  # k_0 = 8: level 1 is a body level, so count 2 solves one root
+    xs, zs = np.array([0.0, 0.5]), np.array([-1.0, 0.5])
+    for count in (1.5, 2.0, True, False, "2", np.int64(0)):
+        with pytest.raises(ValueError, match="count must be at least 1 and a non-bool integer"):
+            lowest_levels(diag, "unscaled", xs, zs, count)
+    for count in (np.int64(2), np.int32(1), np.uint8(3)):
+        levels = lowest_levels(diag, "unscaled", xs, zs, count)
+        assert np.array_equal(levels.roots, lowest_levels(diag, "unscaled", xs, zs, int(count)).roots)
+
+
 def projected_sector(diag, variant, x, z):
     """Oracle: ``build`` projected onto the normalized uniform state of each count group and the head."""
 

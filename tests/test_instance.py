@@ -374,10 +374,10 @@ def test_random_instance_needs_three_variables():
 
 
 def test_random_instance_rejects_bad_clause_counts_and_seeds():
-    for n_clauses in (2.5, 0, -1):
+    for n_clauses in (2.5, 0, -1, True, False):
         with pytest.raises(ClauseCountMismatch, match="positive integer clause count"):
             random_instance(4, n_clauses, 0)
-    for rng in (1.5, -1, "7", None):
+    for rng in (1.5, -1, "7", None, True, False):
         with pytest.raises(MalformedHeader, match="rng must be"):
             random_instance(4, 3, rng)
     assert random_instance(4, np.int64(3), np.int64(2)) == random_instance(4, 3, np.random.default_rng(2))
