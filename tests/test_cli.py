@@ -22,6 +22,7 @@ from diaboli import (
     violation_diagonal,
     worst_case_diagonal,
 )
+from diaboli import cli
 from diaboli.cli import _build_parser, main
 from diaboli.hamiltonian import variant_scales
 
@@ -244,6 +245,110 @@ def test_unreadable_instance_files_are_usage_errors(tmp_path, capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error: ") and str(source) in lines[0]
+
+
+EVOLVE_SHORT = ["evolve", "wc:n=1,sol=0", "--time", "50", "--steps", "100"]
+OUTPUTS = [  # (argv, flag naming one output file): every file each command writes
+    (SPECTRUM + ["--fixed", "-1", "--range", "0:0.2", "--samples", "3"], "--out"),
+    (["predict-gap", "wc:n=3,sol=1"], "--out"),
+    (["berry", "wc:n=3,sol=5"], "--out"),
+    (["berry", "wc:n=3,sol=5"], "--transport-csv"),
+    (EVOLVE_SHORT, "--out"),
+    (EVOLVE_SHORT, "--summary"),
+    (["solve", "wc:n=3,sol=6"], "--out"),
+]
+OUTPUT_IDS = ["spectrum", "predict-gap", "berry-out", "berry-transport-csv", "evolve-out", "evolve-summary", "solve"]
+
+
+def assert_unwritable(capsys, argv, path) -> None:
+    assert main(argv + [str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"usage error: cannot write output file {path}: ")
+
+
+@pytest.mark.parametrize("argv, flag", OUTPUTS, ids=OUTPUT_IDS)
+def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys, argv, flag):
+    for path in (tmp_path / "missing" / "out", tmp_path):  # no such directory; a directory
+        assert_unwritable(capsys, argv + [flag], path)
+
+
+@pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0, reason="root may write a read-only file")
+def test_read_only_output_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "read-only.json"
+    path.write_text("")
+    path.chmod(0o444)
+    assert_unwritable(capsys, ["predict-gap", "wc:n=3,sol=1", "--out"], path)
+
+
+@pytest.mark.parametrize("argv, flag", OUTPUTS, ids=OUTPUT_IDS)
+def test_outputs_rewrite_a_longer_file_in_place(tmp_path, argv, flag):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    assert main(argv + [flag, str(fresh)]) == 0
+    want = fresh.read_bytes()
+    old.write_bytes(b"#" * (len(want) + 4096))
+    inode = old.stat().st_ino
+    assert main(argv + [flag, str(old)]) == 0
+    assert old.read_bytes() == want and old.stat().st_ino == inode
+
+
+def test_rewrite_keeps_mode_and_links(tmp_path):
+    argv = ["predict-gap", "wc:n=3,sol=1", "--out"]
+    umask = os.umask(0)
+    os.umask(umask)
+    fresh = tmp_path / "fresh.json"
+    assert main(argv + [str(fresh)]) == 0
+    assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+    target, link, hard = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "hard.json"
+    target.write_text("x" * 10000)
+    target.chmod(0o640)
+    link.symlink_to(target)
+    os.link(target, hard)
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and target.stat().st_mode & 0o777 == 0o640
+    assert target.read_bytes() == hard.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_output_to_the_null_device(capsys):
+    assert run_cli(capsys, "predict-gap", "wc:n=3,sol=1", "--out", os.devnull) == (0, "")
+
+
+def test_a_write_that_raises_leaves_no_old_tail(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"#" * (3 << 20))
+    head = "row\n" * (300 << 10)  # more than the 1 MiB buffer, so part is on disk when the write stops
+    with pytest.raises(RuntimeError):
+        with cli._output(str(path)) as stream:
+            stream.write(head)
+            raise RuntimeError("formatter failed")
+    assert path.read_text() == head
+
+
+def test_outputs_are_never_opened_truncating(tmp_path, monkeypatch):
+    # A truncating open of a file rewritten moments ago can wait tens of ms on
+    # writeback (see cli._output); every output goes through one non-truncating os.open.
+    opened, wrapped = [], []
+    os_open = os.open
+
+    def spy_os_open(path, flags, *rest, **kw):
+        opened.append((os.fspath(path), flags))
+        return os_open(path, flags, *rest, **kw)
+
+    def spy_open(file, mode="r", *rest, **kw):
+        wrapped.append((file, mode))
+        return open(file, mode, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    paths = []
+    for i, (argv, flag) in enumerate(OUTPUTS):
+        paths.append(str(tmp_path / f"out{i}"))
+        for _ in range(2):  # a fresh file, then a rewrite
+            assert main(argv + [flag, paths[-1]]) == 0
+    mine = [(path, flags) for path, flags in opened if path.startswith(str(tmp_path))]
+    assert [path for path, _ in mine] == [p for p in paths for _ in range(2)]
+    assert not any(flags & os.O_TRUNC for _, flags in mine)
+    assert len(wrapped) == len(mine) and all(isinstance(file, int) for file, _ in wrapped)
 
 
 def test_berry_json_and_transport_log(tmp_path, capsys):
