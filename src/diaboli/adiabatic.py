@@ -39,6 +39,7 @@ import numpy as np
 from .errors import NormDrift, ScheduleInvalid
 from .eigensolver import lowest_levels
 from .eigensolver import eigen_arrowhead  # noqa: F401 - perfbench/tracer.py wraps this module-level name
+from .hamiltonian import _real
 from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .holonomy import LoopPath, _log_csv
 from .instance import ViolationDiagonal
@@ -61,9 +62,10 @@ class Schedule:
     steps: int = 2000
 
     def __post_init__(self) -> None:
-        total = self.total_time
-        if not isinstance(total, numbers.Real) or isinstance(total, bool) or not (math.isfinite(total) and total > 0.0):
-            raise ScheduleInvalid(f"total_time must be positive and finite, got {total!r}")
+        total = _real(self.total_time)
+        if total is None or not (math.isfinite(total) and total > 0.0):
+            raise ScheduleInvalid(f"total_time must be positive and finite, got {self.total_time!r}")
+        object.__setattr__(self, "total_time", total)
         if self.speed_profile not in PROFILES:
             raise ScheduleInvalid(f"speed_profile {self.speed_profile!r} not in {PROFILES}")
         if not isinstance(self.steps, numbers.Integral) or self.steps < 100:

@@ -53,6 +53,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _spec_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"bad {what} {text!r}") from exc
+
+
 def _parse_source(spec: str) -> ViolationDiagonal:
     if spec.startswith("wc:"):
         fields: dict[str, str] = {}
@@ -66,19 +73,9 @@ def _parse_source(spec: str) -> ViolationDiagonal:
             fields[key] = value.strip()
         if "n" not in fields:
             raise UsageError("worst-case source needs n=<vars>")
-        try:
-            n = int(fields["n"])
-        except ValueError as exc:
-            raise UsageError(f"bad variable count {fields['n']!r}") from exc
+        n = _spec_int(fields["n"], "variable count")
         sol_text = fields.get("sol", "none")
-        solution: int | None
-        if sol_text == "none":
-            solution = None
-        else:
-            try:
-                solution = int(sol_text)
-            except ValueError as exc:
-                raise UsageError(f"bad solution index {sol_text!r}") from exc
+        solution = None if sol_text == "none" else _spec_int(sol_text, "solution index")
         unknown = set(fields) - {"n", "sol"}
         if unknown:
             raise UsageError(f"unknown worst-case fields: {sorted(unknown)}")
@@ -186,8 +183,7 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    diag = _parse_source(args.source)
+def _cmd_spectrum(diag: ViolationDiagonal, args: argparse.Namespace) -> None:
     lo, hi = _parse_range(args.range)
     values = np.linspace(lo, hi, args.samples)
     xs, zs = (values, args.fixed) if args.sweep == "x" else (args.fixed, values)
@@ -204,27 +200,21 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             # Each distinct value is formatted once; a deflated body level repeats its string.
             eigs = "".join(f"{e:.17g}," * r for e, r in zip(row, counts))
             stream.write(f"{x:.17g},{z:.17g},{eigs}{gap:.17g}\n")
-    return 0
 
 
-def _cmd_berry(args: argparse.Namespace) -> int:
-    diag = _parse_source(args.source)
+def _cmd_berry(diag: ViolationDiagonal, args: argparse.Namespace) -> None:
     path = LoopPath.default_rectangle(samples_per_edge=args.samples_per_edge)
     result = berry_phase(diag, args.variant, path, collect_log=args.transport_csv is not None)
     if args.transport_csv is not None:
         _emit(transport_csv(result), args.transport_csv)
     _emit(_json_text(result.to_dict()), args.out)
-    return 0
 
 
-def _cmd_predict_gap(args: argparse.Namespace) -> int:
-    diag = _parse_source(args.source)
+def _cmd_predict_gap(diag: ViolationDiagonal, args: argparse.Namespace) -> None:
     _emit(_json_text(prediction_report(diag, args.z, args.variant)), args.out)
-    return 0
 
 
-def _cmd_evolve(args: argparse.Namespace) -> int:
-    diag = _parse_source(args.source)
+def _cmd_evolve(diag: ViolationDiagonal, args: argparse.Namespace) -> None:
     profile = "gap_adaptive" if args.profile == "adaptive" else args.profile
     schedule = Schedule(total_time=args.time, speed_profile=profile, steps=args.steps)
     path = LoopPath.default_rectangle()
@@ -242,15 +232,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "max_norm_drift": result.max_norm_drift,
     }
     _emit(_json_text(summary), args.summary)
-    return 0
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    diag = _parse_source(args.source)
+def _cmd_solve(diag: ViolationDiagonal, args: argparse.Namespace) -> None:
     oracle = brute_force_oracle if args.oracle == "brute" else None
     trace: SearchTrace = solve(diag, args.variant, oracle)
     _emit(_json_text(trace.to_dict()), args.out)
-    return 0
 
 
 @functools.cache
@@ -302,7 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(_parse_source(args.source), args)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .hamiltonian import ArrowheadHamiltonian, ParameterPoint, Sector, sector
+from .hamiltonian import ArrowheadHamiltonian, ParameterPoint, Sector, _real, sector
 from .hamiltonian import build  # noqa: F401 - perfbench/tracer.py wraps this module-level name
 from .instance import ViolationDiagonal
 
@@ -179,8 +179,9 @@ def _model_start(
     root 0's model lumps groups 1.. into one of their total weight that gives their sum one pole spacing
     below ``poles[0]``, typically within 1% of the root, and the top root's mirrors it above ``poles[-1]``;
     root ``j``'s, between poles ``j - 1`` and ``j``, keeps those two groups and holds the others' sum at
-    its value mid-bracket.  No start depends on another.  ``right`` says whether a root's origin is the
-    right end of its bracket, the pole nearer the start; ``tau`` is the start.
+    its value mid-bracket.  No start depends on another or on ``count``: root 0's comes from one call
+    whatever ``count`` asks, so a partial solve starts as the whole spectrum's does.  ``right`` says whether
+    a root's origin is the right end of its bracket, the pole nearer the start; ``tau`` is the start.
     """
 
     g = poles.size
@@ -198,25 +199,23 @@ def _model_start(
                 upper = _root_pair((h - far) - low, far * w1 / (low - far))  # det(M - far) = far * w1
         else:  # one group of the far groups' total weight, placed to give their sum one width below
             far = others / float(np.add.reduce(k[1:] / ((poles[1:] - poles[0]) + width))) - width
-            if count == 1:  # a start that steps refine needs no more than the trigonometric form
-                low = _trig_roots(far, h, w0, w1, 1)
-            else:  # and root j's models, holding the groups other than j - 1 and j at their sum mid-bracket
+            low = _trig_roots(far, h, w0, w1, 1)
+            if count > 1:  # root j's models hold the groups other than j - 1 and j at their sum mid-bracket
                 j = np.arange(1, min(count, g))[:, None]
                 width = poles[j] - poles[j - 1]
                 held = np.arange(g - 2) + 2 * (np.arange(g - 2) >= j - 1)  # the groups root j's model holds
                 held = np.add.reduce(k[held] / ((poles[held] - poles[j - 1]) - 0.5 * width), axis=1, keepdims=True)
-                # Root r's model is row r: far pole, held sum, far weight and turns, from pole max(r - 1, 0).
-                models = np.empty((4, count, 1))
-                models[:, 0, 0] = far, 0.0, others, 1.0
-                models[:, 1 : j.size + 1] = width, held, k[j], np.full_like(width, 2.0)
+                # Root r's model is row r - 1: far pole, held sum, far weight and turns, from pole r - 1.
+                models = np.empty((4, count - 1, 1))
+                models[:, : j.size] = width, held, k[j], np.full_like(width, 2.0)
                 if count > g:  # the top root's: groups 0..G-2 lumped to give their sum one width above poles[-1]
                     span, lumped = poles[-1] - poles[-2], size - k[-1]
                     below = lumped / float(np.add.reduce(k[:-1] / ((poles[-1] - poles[:-1]) + span))) - span
-                    models[:, g, 0] = -below, 0.0, lumped, 0.0
-                near = np.maximum(np.arange(count) - 1, 0)[:, None]
+                    models[:, -1, 0] = -below, 0.0, lumped, 0.0
+                near = np.arange(count - 1)[:, None]
                 h = (head - poles[near]) - models[1] * b2
                 roots = _trig_roots(models[0], h, k[near] * b2, models[2] * b2, models[3])
-                low, high = roots[0], roots[1 : j.size + 1]
+                high = roots[: j.size]
                 upper = [high - width, roots[-1]]
     right, tau = np.full((count, head.size), True), np.empty((count, head.size))
     tau[0] = low
@@ -450,6 +449,8 @@ class Levels:
     def level(self, index: int) -> np.ndarray:
         """Eigenvalue number ``index`` (ascending; negative counts from the top) at every point."""
 
+        if type(index) is not int and (isinstance(index, bool) or not isinstance(index, numbers.Integral)):
+            raise IndexError(f"level index must be a non-bool integer, got {index!r}")
         starts = self._solve[-1]
         size = starts[-1] + 1
         if not -size <= index < size:
@@ -578,6 +579,10 @@ def min_gap_on_segment(
         raise ValueError(f"sweep must be 'x' or 'z', got {sweep!r}")
     if not isinstance(samples, numbers.Integral) or samples < 4:
         raise ValueError(f"need an integer of at least 4 samples per scan, got {samples!r}")
+    reals = _real(fixed), _real(lo), _real(hi)
+    if None in reals:
+        raise ValueError(f"fixed, lo and hi must be real numbers, got {fixed!r}, {lo!r}, {hi!r}")
+    fixed, lo, hi = reals
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bad sweep range [{lo}, {hi}]")
 

@@ -20,6 +20,7 @@ misses by a rounding at every odd ``n``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +34,14 @@ VARIANTS = ("unscaled", "z_scaled", "x_scaled")
 DENSE_LIMIT = 4097  # largest matrix the dense paths will materialize
 
 
+def _real(value) -> float | None:
+    """``value`` as a float when it is a real number other than a bool, else None."""
+
+    if type(value) is float:
+        return value
+    return None if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+
+
 @dataclass(frozen=True)
 class ParameterPoint:
     """A point (x, z) in the two-parameter control plane."""
@@ -42,9 +51,10 @@ class ParameterPoint:
 
     def __post_init__(self) -> None:
         for name in ("x", "z"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            given = getattr(self, name)
+            value = _real(given)
+            if value is None or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {given!r}")
             object.__setattr__(self, name, value)
 
 

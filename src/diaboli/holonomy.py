@@ -89,7 +89,7 @@ class LoopPath:
 
     def __post_init__(self) -> None:
         pts = tuple(
-            p if isinstance(p, ParameterPoint) else ParameterPoint(float(p[0]), float(p[1]))
+            p if isinstance(p, ParameterPoint) else ParameterPoint(p[0], p[1])
             for p in self.waypoints
         )
         if len(pts) < 2 or pts[0] != pts[-1]:

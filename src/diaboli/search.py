@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DiaboliError, InternalContradiction, OracleFailure
+from .errors import DiaboliError, InternalContradiction, OracleFailure, UnknownVariant
 from .hamiltonian import SubspaceMask  # noqa: F401 - perfbench/tracer.py wraps this module-level name
-from .hamiltonian import restrict
+from .hamiltonian import VARIANTS, restrict
 from .holonomy import solubility
 from .instance import ViolationDiagonal
 
@@ -73,6 +73,8 @@ def solve(diag: ViolationDiagonal, variant: str = "unscaled", oracle: Oracle | N
     size = diag.dimension
     if diag.n_vars is None:
         raise ValueError(f"bisection needs a power-of-two space, got {size} entries")
+    if variant not in VARIANTS:  # the caller's error, whatever the oracle
+        raise UnknownVariant(f"variant {variant!r} not in {VARIANTS}")
     if oracle is None:
         def oracle(restricted: ViolationDiagonal) -> bool:
             return solubility(restricted, variant)

@@ -1,5 +1,6 @@
 """Time evolution around the loop: unitarity, fidelity, extracted phase."""
 
+import json
 import math
 import tracemalloc
 
@@ -48,6 +49,10 @@ def test_schedule_validation():
             Schedule(total_time=total_time)
     steps = Schedule(total_time=1.0, steps=np.int64(200)).steps
     assert steps == 200 and type(steps) is int
+    for total_time in (np.float32(10.0), np.int64(10), 10):
+        schedule = Schedule(total_time=total_time)
+        assert type(schedule.total_time) is float and schedule.total_time == 10.0
+        json.dumps(schedule.total_time)
 
 
 def test_slow_soluble_run_lands_in_the_ground_state_with_phase_pi():

@@ -294,6 +294,11 @@ def test_min_gap_raises_when_the_bracket_cannot_shrink_to_tol(monkeypatch):
     for lo, hi in ((0.2, 0.2), (0.2, 0.0), (0.0, math.inf), (math.nan, 0.2)):
         with pytest.raises(ValueError, match="bad sweep range"):
             min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=lo, hi=hi)
+    for bad in (dict(lo="0"), dict(hi=True), dict(fixed="-1"), dict(fixed=None)):
+        with pytest.raises(ValueError, match="must be real numbers"):
+            min_gap_on_segment(diag, "unscaled", "x", **{"fixed": -1.0, "lo": 0.0, "hi": 0.2, **bad})
+    point, gap = min_gap_on_segment(diag, "unscaled", "z", fixed=np.float32(0.5), lo=np.int64(-1), hi=1)
+    assert type(point.x) is float and point.x == 0.5 and type(gap) is float
     monkeypatch.setattr(eigensolver, "_ZOOM_ROUNDS", 1)
     with pytest.raises(ConvergenceFailure, match="bracket still .* wide after 1 rounds"):
         min_gap_on_segment(diag, "unscaled", "x", fixed=-1.0, lo=0.0, hi=0.2)
@@ -389,6 +394,15 @@ def test_lowest_levels_takes_only_integer_counts():
     for count in (np.int64(2), np.int32(1), np.uint8(3)):
         levels = lowest_levels(diag, "unscaled", xs, zs, count)
         assert np.array_equal(levels.roots, lowest_levels(diag, "unscaled", xs, zs, int(count)).roots)
+
+
+def test_levels_take_only_integer_indices():
+    levels = lowest_levels(worst_case_diagonal(3, 2), "unscaled", [0.1], [1.0])
+    for index in (1.5, True, False, np.float64(1.0), "1"):
+        with pytest.raises(IndexError, match="non-bool integer"):
+            levels.level(index)
+    for index in (np.int64(1), np.int32(-1), np.uint8(3)):
+        assert np.array_equal(levels.level(index), levels.level(int(index)))
 
 
 def projected_sector(diag, variant, x, z):
@@ -644,9 +658,9 @@ def test_a_point_solves_alike_alone_or_in_any_batch():
     # Sums over the poles and the vector norm must not change order with the
     # number of rows in the call: a point solved alone, within a permuted
     # subset or within the whole batch gives the same bits.  Asking for fewer
-    # levels solves only the roots among them, which are the whole spectrum's:
-    # bit for bit at G <= 2, where every solve starts at the same model roots,
-    # and within 1e-13 above, where only a one-root solve gets a model start.
+    # levels solves only the roots among them, which are the whole spectrum's
+    # bit for bit at every G: each root starts at its own model root, the
+    # same whatever the count.
     rng = np.random.default_rng(1414)
     for g in range(1, 44):
         variant = VARIANTS[g % len(VARIANTS)]
@@ -682,10 +696,7 @@ def test_a_point_solves_alike_alone_or_in_any_batch():
             got = [part.level(i) for i in range(count)] + list(part.ground()) + [part.vectors()]
             want = [full.level(i) for i in range(count)] + list(full.ground()) + [full.vectors()[..., :solved]]
             for a, b in zip(got, want):
-                if g <= 2:
-                    assert bits(a) == bits(b), (g, count)
-                else:
-                    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * np.max(np.abs(b)))
+                assert bits(a) == bits(b), (g, count)
             if count in roots_of_the_spectrum:
                 with pytest.raises(IndexError, match="root"):
                     part.level(count)

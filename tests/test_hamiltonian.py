@@ -65,6 +65,11 @@ def test_parameter_point_must_be_finite():
         ParameterPoint(x=float("nan"), z=0.0)
     with pytest.raises(ValueError):
         ParameterPoint(x=0.0, z=float("inf"))
+    for x, z in (("1", 2.0), (True, 0.0), (0.0, False), (None, 0.0), (1j, 0.0)):
+        with pytest.raises(ValueError, match="finite real number"):
+            ParameterPoint(x, z)
+    point = ParameterPoint(np.float32(0.5), np.int64(2))
+    assert (type(point.x), type(point.z), point.x, point.z) == (float, float, 0.5, 2.0)
     with pytest.raises(ValueError, match="parameter points must be finite"):
         lowest_levels(worst_case_diagonal(3, solution_index=0), "unscaled", np.array([0.1, np.nan]), -1.0)
 

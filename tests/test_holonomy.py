@@ -119,6 +119,13 @@ def test_open_waypoint_list_is_rejected():
         LoopPath(waypoints=((0.0, 1.0), (1.0, 1.0), (0.0, 1.0)))
 
 
+def test_waypoints_must_be_real_numbers():
+    with pytest.raises(ValueError, match="finite real number"):
+        LoopPath(waypoints=(("0", "1"), (1.0, 1.0), (1.0, -1.0), ("0", "1")))
+    path = LoopPath(waypoints=((np.int64(0), 1), (1, 1), (1, np.float32(-1.0)), (0, 1)))
+    assert all(type(p.x) is float and type(p.z) is float for p in path.waypoints)
+
+
 def test_loop_through_origin_is_rejected():
     with pytest.raises(ValueError):
         LoopPath(waypoints=((-1.0, -1.0), (1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)))

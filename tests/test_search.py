@@ -8,6 +8,7 @@ from diaboli import (
     InternalContradiction,
     OracleFailure,
     SearchTrace,
+    UnknownVariant,
     ViolationDiagonal,
     brute_force_oracle,
     random_instance,
@@ -81,6 +82,12 @@ def test_oracle_errors_are_wrapped():
 
     with pytest.raises(OracleFailure):
         solve(worst_case_diagonal(3, solution_index=0), oracle=broken)
+
+
+def test_unknown_variant_is_rejected_under_either_oracle():
+    for oracle in (None, brute_force_oracle):
+        with pytest.raises(UnknownVariant, match="variant 'bogus'"):
+            solve(worst_case_diagonal(3, solution_index=2), "bogus", oracle)
 
 
 def test_non_power_of_two_space_is_rejected():
